@@ -147,6 +147,9 @@ class Tape:
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
+        # requires-grad inputs no entry produced, keyed by id, in first-use order
+        self._leaves: dict[int, Tensor] = {}
+        self._produced: set[int] = set()
         self._prev: Optional["Tape"] = None
 
     def __enter__(self) -> "Tape":
@@ -165,6 +168,10 @@ class Tape:
         return len(self._entries)
 
     def record(self, output: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
+        for t in inputs:
+            if t.requires_grad and id(t) not in self._produced:
+                self._leaves[id(t)] = t
+        self._produced.add(id(output))
         self._entries.append(_TapeEntry(output, inputs, backward_fn))
 
 
@@ -172,36 +179,34 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep over the tape, accumulating gradients additively.
 
     Each tape node is visited exactly once.  Intermediate gradients live in
-    a scratch table; only tensors with ``requires_grad`` keep theirs, so
-    running backward twice without zeroing doubles every gradient.
+    a scratch table and are dropped; only the tape's leaves (requires-grad
+    inputs no entry produced) get gradient buffers, so running backward
+    twice without zeroing doubles every gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     scratch: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    # make sure every requires-grad tensor touched by the tape ends up with
-    # a gradient buffer, even if the loss never reaches it
-    for entry in tape._entries:
-        for t in entry.inputs:
-            if t.requires_grad and t._grad is None:
-                t.zero_grad()
+    # every leaf ends up with a gradient buffer, even if the loss never
+    # reaches it
+    for t in tape._leaves.values():
+        if t._grad is None:
+            t.zero_grad()
     for entry in reversed(tape._entries):
         g_out = scratch.pop(id(entry.output), None)
         if g_out is None:
             continue
         for t, g in entry.backward_fn(g_out):
-            if g is None:
+            if g is None or not t.requires_grad:
                 continue
             key = id(t)
             if key in scratch:
                 scratch[key] = scratch[key] + g
             else:
                 scratch[key] = g
-    # whatever remains in scratch belongs to leaves
-    for entry_inputs in [e.inputs for e in tape._entries]:
-        for t in entry_inputs:
-            g = scratch.pop(id(t), None)
-            if g is not None and t.requires_grad:
-                t.accumulate_grad(g)
+    for key, t in tape._leaves.items():
+        g = scratch.pop(key, None)
+        if g is not None:
+            t.accumulate_grad(g)
 
 
 def _as_tensor(x) -> Tensor:
@@ -280,13 +285,19 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _finish(out, (a,), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T.copy())
+def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Permute axes; without ``axes``, swap the two axes of a matrix."""
+    if axes is None:
+        if a.ndim != 2:
+            raise DimensionError(f"transpose expects a matrix, got shape {a.shape}")
+        axes = (1, 0)
+    elif sorted(axes) != list(range(a.ndim)):
+        raise DimensionError(f"transpose axes {tuple(axes)} do not permute shape {a.shape}")
+    out = Tensor(a.data.transpose(axes))
+    inverse = np.argsort(axes)
 
     def bw(g):
-        return [(a, g.T)]
+        return [(a, g.transpose(inverse))]
 
     return _finish(out, (a,), bw)
 
@@ -344,11 +355,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish(out, (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -362,6 +368,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         return [(a, g @ b.data.T), (b, a.data.T @ g)]
+
+    return _finish(out, (a, b), bw)
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product over equal leading dims: (..., m, k) x (..., k, n).
+
+    :func:`matmul` stays strictly 2-D; this op does the stacked products.
+    """
+    if (a.ndim < 3 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise DimensionError(f"bmm shape mismatch: {a.shape} x {b.shape}")
+    out = Tensor(np.matmul(a.data, b.data))
+
+    def bw(g):
+        return [(a, np.matmul(g, b.data.swapaxes(-1, -2))),
+                (b, np.matmul(a.data.swapaxes(-1, -2), g))]
 
     return _finish(out, (a, b), bw)
 
@@ -381,13 +404,14 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    u = GELU_C * (x + GELU_A * x ** 3)
+    # x*x*x, not x ** 3: numpy's float power is an order of magnitude slower
+    u = GELU_C * (x + GELU_A * (x * x * x))
     t = np.tanh(u)
     out = Tensor(0.5 * x * (1.0 + t))
 
     def bw(g):
-        du = GELU_C * (1.0 + 3.0 * GELU_A * x ** 2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+        du = GELU_C * (1.0 + 3.0 * GELU_A * (x * x))
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         return [(a, g * d)]
 
     return _finish(out, (a,), bw)
@@ -419,17 +443,30 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize over the last axis, then affine gamma/beta.
 
-    Composed from primitive ops, so the backward pass comes for free.
+    One fused op: with ``xhat = (x - mean) / sqrt(var + eps)`` the input
+    gradient is ``(gx - mean(gx) - xhat * mean(gx * xhat)) / sqrt(var + eps)``
+    where ``gx = g * gamma``.
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise DimensionError(
             f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}"
         )
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = pow_scalar(add(var, Tensor(eps)), -0.5)
-    return add(mul(mul(xc, inv), gamma), beta)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    out = Tensor(xhat * gamma.data + beta.data)
+
+    def bw(g):
+        gx = g * gamma.data
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        return [
+            (x, dx),
+            (gamma, _unbroadcast(g * xhat, gamma.shape)),
+            (beta, _unbroadcast(g, beta.shape)),
+        ]
+
+    return _finish(out, (x, gamma, beta), bw)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -452,9 +489,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             f"cross_entropy: logits {logits.shape} vs labels {labels.shape}"
         )
     n, c = logits.shape
-    for i, lab in enumerate(labels):
-        if not 0 <= lab < c:
-            raise LabelError(f"label {lab} at index {i} outside [0, {c})")
+    bad = np.flatnonzero((labels < 0) | (labels >= c))
+    if bad.size:
+        i = int(bad[0])
+        raise LabelError(f"label {labels[i]} at index {i} outside [0, {c})")
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))

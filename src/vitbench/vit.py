@@ -3,7 +3,9 @@
 The forward path follows the classic recipe: split the image into square
 patches, flatten and project them, prepend a class token, add learned
 positional embeddings, run a stack of pre-norm transformer encoder blocks,
-and read the class token through a linear head.
+and read the class token through a linear head.  The model runs
+batch-first: a B x C x H x W batch takes one pass, with the residual
+stream as one (B*T) x D matrix.
 """
 
 from __future__ import annotations
@@ -70,19 +72,22 @@ class ViTConfig:
 
 
 def partition_and_flatten(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """C x H x W image -> N x (P*P*C) patch matrix, row-major over the grid.
+    """(…, C, H, W) images -> (…, N, P*P*C) patch matrices, row-major over the grid.
 
-    Within a patch the flattening order is (channel, row, col); the
-    transform is lossless, see :func:`unpartition`.
+    Leading dims pass through, so a B x C x H x W batch partitions in one
+    reshape/transpose.  Within a patch the flattening order is (channel,
+    row, col); the transform is lossless, see :func:`unpartition`.
     """
-    c, h, w = image.shape
+    *lead, c, h, w = image.shape
     p = patch_size
     if h % p or w % p:
         raise ConfigurationError(f"image {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
-    # (C, gh, p, gw, p) -> (gh, gw, C, p, p)
-    patches = image.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4)
-    return patches.reshape(gh * gw, c * p * p).copy()
+    n = len(lead)
+    # (…, C, gh, p, gw, p) -> (…, gh, gw, C, p, p)
+    patches = image.reshape(*lead, c, gh, p, gw, p).transpose(
+        *range(n), n + 1, n + 3, n, n + 2, n + 4)
+    return patches.reshape(*lead, gh * gw, c * p * p).copy()
 
 
 def unpartition(patches: np.ndarray, patch_size: int, channels: int, h: int, w: int) -> np.ndarray:
@@ -103,39 +108,52 @@ def embed_patches(patches: Tensor, w_proj: Tensor, bias: Tensor) -> Tensor:
 
 
 def add_positional(embeddings: Tensor, cls_token: Tensor, pos_table: Tensor) -> Tensor:
-    """Prepend the class token, then add the positional table elementwise."""
-    n, d = embeddings.shape
+    """Prepend the class token to each (…, N, D) sequence, then add the
+    positional table elementwise."""
+    *lead, n, d = embeddings.shape
     if pos_table.shape[0] != n + 1:
         raise ConfigurationError(
             f"positional table has {pos_table.shape[0]} rows, expected {n + 1}"
         )
-    seq = T.concat([T.reshape(cls_token, (1, d)), embeddings], axis=0)
+    # adding zeros broadcasts the class token over the leading dims
+    cls = T.add(T.reshape(cls_token, (1,) * len(lead) + (1, d)),
+                Tensor(np.zeros((*lead, 1, d))))
+    seq = T.concat([cls, embeddings], axis=-2)
     return T.add(seq, pos_table)
 
 
 def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights: bool = False):
-    """Scaled dot-product attention over num_heads subspaces of width D/h."""
-    t, d = x.shape
+    """Scaled dot-product attention over num_heads subspaces of width D/h.
+
+    ``x`` is (…, T, D).  The projections are 2-D matmuls over all rows; the
+    heads are a reshape to (…, h, T, D/h), and the scores and outputs are
+    batched products over them.  With ``return_weights`` the (…, T, T)
+    attention weights of each head come back as a list of h tensors.
+    """
+    *lead, t, d = x.shape
     if d % num_heads:
         raise ConfigurationError(f"embed dim {d} not divisible by {num_heads} heads")
-    dh = d // num_heads
-    q = T.add(T.matmul(x, block["attn.wq"]), block["attn.bq"])
-    k = T.add(T.matmul(x, block["attn.wk"]), block["attn.bk"])
-    v = T.add(T.matmul(x, block["attn.wv"]), block["attn.bv"])
-    scale = Tensor(1.0 / np.sqrt(dh))
-    heads = []
-    weights = []
-    for i in range(num_heads):
-        qi = T.slice_axis(q, 1, i * dh, (i + 1) * dh)
-        ki = T.slice_axis(k, 1, i * dh, (i + 1) * dh)
-        vi = T.slice_axis(v, 1, i * dh, (i + 1) * dh)
-        scores = T.mul(T.matmul(qi, T.transpose(ki)), scale)
-        a = T.softmax(scores, axis=1)
-        weights.append(a)
-        heads.append(T.matmul(a, vi))
-    out = T.add(T.matmul(T.concat(heads, axis=1), block["attn.wo"]), block["attn.bo"])
+    h, dh = num_heads, d // num_heads
+    n = len(lead)
+    rows = T.reshape(x, (-1, d))
+
+    def project(name: str, axes) -> Tensor:
+        y = T.add(T.matmul(rows, block["attn.w" + name]), block["attn.b" + name])
+        return T.transpose(T.reshape(y, (*lead, t, h, dh)), axes)
+
+    # swaps the T and h axes, so it is its own inverse
+    heads_first = (*range(n), n + 1, n, n + 2)
+    q = project("q", heads_first)
+    k_t = project("k", (*range(n), n + 1, n + 2, n))
+    v = project("v", heads_first)
+    scores = T.mul(T.bmm(q, k_t), Tensor(1.0 / np.sqrt(dh)))
+    a = T.softmax(scores, axis=-1)
+    heads = T.reshape(T.transpose(T.bmm(a, v), heads_first), (-1, d))
+    out = T.add(T.matmul(heads, block["attn.wo"]), block["attn.bo"])
+    out = T.reshape(out, x.shape)
     if return_weights:
-        return out, weights
+        per_head = (*lead, t, t)
+        return out, [T.reshape(T.slice_axis(a, n, i, i + 1), per_head) for i in range(h)]
     return out
 
 
@@ -205,31 +223,25 @@ class ViTClassifier:
     def head_names(self) -> list[str]:
         return [k for k in self.params if k.startswith("head.")]
 
-    def encode(self, image: np.ndarray) -> Tensor:
-        """C x H x W image -> T x D encoder output (after the final norm)."""
-        cfg = self.config
-        if image.shape != (cfg.channels, cfg.image_size, cfg.image_size):
-            raise ConfigurationError(
-                f"image shape {image.shape} does not match config "
-                f"({cfg.channels}, {cfg.image_size}, {cfg.image_size})"
-            )
-        patches = Tensor(partition_and_flatten(image, cfg.patch_size))
-        emb = embed_patches(patches, self.params["patch_proj.w"], self.params["patch_proj.b"])
-        seq = add_positional(emb, self.params["cls_token"], self.params["pos_table"])
-        return self.encode_sequence(seq)
+    def encode_sequence(self, seq: Tensor, cls_only: bool = False) -> Tensor:
+        """Run the encoder stack on an already-embedded (…, T, D) sequence.
 
-    def encode_sequence(self, seq: Tensor) -> Tensor:
-        """Run the encoder stack on an already-embedded T x D sequence."""
-        x = seq
+        The residual stream is one (…·T) x D matrix.  Returns the (…, T, D)
+        output of the final norm or, with ``cls_only``, just the (…, D)
+        class-token rows, the only rows the final norm then reads.
+        """
+        *lead, t, d = seq.shape
+        x = T.reshape(seq, (-1, d))
         for i in range(self.config.num_layers):
             blk = self.block_params(i)
-            attn_in = T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"])
-            a = multi_head_attention(attn_in, blk, self.config.num_heads)
-            a = self._maybe_drop(a)
-            x = T.add(x, a)
+            attn_in = T.reshape(T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"]), seq.shape)
+            a = T.reshape(multi_head_attention(attn_in, blk, self.config.num_heads), (-1, d))
+            x = T.add(x, self._maybe_drop(a))
             mlp_in = T.layer_norm(x, blk["norm2.gamma"], blk["norm2.beta"])
-            m = self._maybe_drop(_mlp(mlp_in, blk))
-            x = T.add(x, m)
+            x = T.add(x, self._maybe_drop(_mlp(mlp_in, blk)))
+        x = T.reshape(x, seq.shape)
+        if cls_only:
+            x = T.reshape(T.slice_axis(x, -2, 0, 1), (*lead, d))
         return T.layer_norm(x, self.params["final_norm.gamma"], self.params["final_norm.beta"])
 
     def _maybe_drop(self, x: Tensor) -> Tensor:
@@ -237,20 +249,29 @@ class ViTClassifier:
             return T.dropout(x, self.config.dropout, self._drop_rng)
         return x
 
-    def forward_logits(self, image: np.ndarray) -> Tensor:
-        encoded = self.encode(image)
-        cls = T.slice_axis(encoded, 0, 0, 1)
-        return T.reshape(
-            T.add(T.matmul(cls, self.params["head.w"]), self.params["head.b"]),
-            (self.config.num_classes,),
-        )
-
     def forward_batch(self, images: np.ndarray) -> Tensor:
-        """B x C x H x W batch -> B x C logits."""
-        return T.stack([self.forward_logits(img) for img in images], axis=0)
+        """B x C x H x W batch -> B x num_classes logits, in one batched pass."""
+        cfg = self.config
+        images = np.asarray(images)
+        if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
+            raise ConfigurationError(
+                f"image batch shape {images.shape} does not match config "
+                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})"
+            )
+        patches = Tensor(partition_and_flatten(images, cfg.patch_size).reshape(-1, cfg.patch_dim))
+        emb = embed_patches(patches, self.params["patch_proj.w"], self.params["patch_proj.b"])
+        emb = T.reshape(emb, (len(images), cfg.num_patches, cfg.embed_dim))
+        seq = add_positional(emb, self.params["cls_token"], self.params["pos_table"])
+        cls = self.encode_sequence(seq, cls_only=True)
+        return T.add(T.matmul(cls, self.params["head.w"]), self.params["head.b"])
+
+    def forward_logits(self, image: np.ndarray) -> Tensor:
+        """C x H x W image -> num_classes logits, through :meth:`forward_batch`."""
+        return T.reshape(self.forward_batch(np.asarray(image)[None]),
+                         (self.config.num_classes,))
 
     def classify(self, image: np.ndarray):
         """Deterministic inference: (probabilities, argmax label, lowest-index ties)."""
-        logits = self.forward_logits(image)
-        probs = T.softmax(logits, axis=0).data
+        logits = self.forward_batch(np.asarray(image)[None])
+        probs = T.softmax(logits, axis=1).data[0]
         return probs, int(np.argmax(probs))

@@ -50,6 +50,52 @@ class TestMatmul:
         assert np.array_equal(a.data, a0) and np.array_equal(b.data, b0)
 
 
+class TestBmm:
+    def test_matches_per_matrix_matmul(self):
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(2, 3, 4, 5))
+        b = rng.normal(size=(2, 3, 5, 2))
+        out = T.bmm(Tensor(a), Tensor(b)).data
+        for i in range(2):
+            for j in range(3):
+                assert np.allclose(out[i, j], a[i, j] @ b[i, j], rtol=0, atol=1e-12)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3, 5, 2)), requires_grad=True)
+        w = rng.random((2, 3, 4, 2))
+        err = gradcheck(lambda: T.tsum(T.mul(T.bmm(a, b), Tensor(w))), [a, b])
+        assert err < 1e-3
+
+    def test_mismatched_leading_dims(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+            T.bmm(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+    def test_inner_extent_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.bmm(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 5))))
+
+
+class TestTranspose:
+    def test_axes_permutation_and_gradient(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        y = T.transpose(x, (2, 0, 1))
+        assert np.array_equal(y.data, np.transpose(x.data, (2, 0, 1)))
+        w = rng.random((4, 2, 3))
+        err = gradcheck(lambda: T.tsum(T.mul(T.transpose(x, (2, 0, 1)), Tensor(w))), [x])
+        assert err < 1e-3
+
+    def test_not_a_permutation(self):
+        with pytest.raises(DimensionError):
+            T.transpose(Tensor(np.zeros((2, 3, 4))), (0, 0, 1))
+
+    def test_default_needs_a_matrix(self):
+        with pytest.raises(DimensionError):
+            T.transpose(Tensor(np.zeros((2, 3, 4))))
+
+
 class TestConv2d:
     def test_1x1_identity_kernel(self):
         rng = np.random.default_rng(1)
@@ -167,6 +213,36 @@ class TestLayerNorm:
         )
         assert err < 1e-3
 
+    def test_fused_matches_primitive_composition(self):
+        rng = np.random.default_rng(23)
+        shape = (2, 3, 8)
+        w = rng.random(shape)
+
+        def mean(a):
+            return T.mul(T.tsum(a, axis=-1, keepdims=True), Tensor(1.0 / a.shape[-1]))
+
+        def composed(x, gamma, beta, eps=1e-5):
+            xc = T.sub(x, mean(x))
+            var = mean(T.mul(xc, xc))
+            inv = T.pow_scalar(T.add(var, Tensor(eps)), -0.5)
+            return T.add(T.mul(T.mul(xc, inv), gamma), beta)
+
+        data = [rng.normal(1.0, 2.0, size=shape), rng.random(8), rng.random(8)]
+
+        def value_and_grads(fn):
+            x, g, b = (Tensor(a, requires_grad=True) for a in data)
+            with Tape() as tape:
+                y = fn(x, g, b)
+                loss = T.tsum(T.mul(y, Tensor(w)))
+            backward(loss, tape)
+            return y.data, [x.grad, g.grad, b.grad]
+
+        y1, grads1 = value_and_grads(T.layer_norm)
+        y2, grads2 = value_and_grads(composed)
+        assert np.max(np.abs(y1 - y2)) < 1e-12
+        for g1, g2 in zip(grads1, grads2):
+            assert np.max(np.abs(g1 - g2)) < 1e-12
+
 
 class TestActivations:
     def test_relu_definition(self):
@@ -202,6 +278,12 @@ class TestCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(LabelError, match="7"):
             T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 7]))
+
+    def test_names_first_bad_label_and_index(self):
+        with pytest.raises(LabelError, match=r"label 5 at index 1 outside \[0, 3\)"):
+            T.cross_entropy(Tensor(np.zeros((4, 3))), np.array([0, 5, -1, 9]))
+        with pytest.raises(LabelError, match=r"label -1 at index 2"):
+            T.cross_entropy(Tensor(np.zeros((3, 3))), np.array([0, 2, -1]))
 
     def test_gradient(self):
         rng = np.random.default_rng(9)
@@ -239,6 +321,21 @@ class TestBackward:
             y = T.mul(x, x)
         backward(y, tape)
         assert np.array_equal(unused.grad, np.zeros(3))
+
+    def test_only_leaves_get_gradient_buffers(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(3, 4)))
+        used = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        unreached = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        with Tape() as tape:
+            h = T.matmul(x, used)
+            T.matmul(x, unreached)  # recorded, but the loss never reads it
+            loss = T.tsum(T.mul(h, h))
+        backward(loss, tape)
+        assert np.allclose(used.grad, x.data.T @ (2.0 * h.data), rtol=0, atol=1e-12)
+        assert np.array_equal(unreached.grad, np.zeros((4, 2)))
+        assert x.grad is None
+        assert all(entry.output.grad is None for entry in tape._entries)
 
     def test_additive_accumulation(self):
         x = Tensor(np.array(3.0), requires_grad=True)

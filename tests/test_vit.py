@@ -273,6 +273,80 @@ class TestEncoder:
         assert err < 1e-3
 
 
+def per_image_logits(model, image):
+    """Reference forward for one image: per-image patches, single-image
+    attention, the final norm over every row, the class token sliced out."""
+    cfg, p = model.config, model.params
+    patches = Tensor(partition_and_flatten(image, cfg.patch_size))
+    x = add_positional(embed_patches(patches, p["patch_proj.w"], p["patch_proj.b"]),
+                       p["cls_token"], p["pos_table"])
+    for i in range(cfg.num_layers):
+        blk = model.block_params(i)
+        attn_in = T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"])
+        x = T.add(x, multi_head_attention(attn_in, blk, cfg.num_heads))
+        mlp_in = T.layer_norm(x, blk["norm2.gamma"], blk["norm2.beta"])
+        hidden = T.gelu(T.add(T.matmul(mlp_in, blk["mlp.w1"]), blk["mlp.b1"]))
+        x = T.add(x, T.add(T.matmul(hidden, blk["mlp.w2"]), blk["mlp.b2"]))
+    x = T.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"])
+    return T.add(T.matmul(T.slice_axis(x, 0, 0, 1), p["head.w"]), p["head.b"])
+
+
+class TestBatchFirst:
+    def _model_and_batch(self):
+        model = desk_model(seed=21)
+        rng = np.random.default_rng(22)
+        # leave no parameter at an exact zero or one, so every path carries signal
+        for prm in model.params.values():
+            prm.data = prm.data + rng.normal(0.0, 0.1, prm.shape)
+        return model, rng.random((5, 3, 32, 32)), np.array([0, 2, 1, 1, 0])
+
+    def _logits_and_grads(self, model, forward, labels):
+        for prm in model.params.values():
+            prm.zero_grad()
+        with T.Tape() as tape:
+            logits = forward()
+            loss = T.cross_entropy(logits, labels)
+        T.backward(loss, tape)
+        return logits.data, {k: prm.grad.copy() for k, prm in model.params.items()}
+
+    def test_matches_per_image_reference(self):
+        model, images, labels = self._model_and_batch()
+        ref, ref_grads = self._logits_and_grads(
+            model, lambda: T.concat([per_image_logits(model, im) for im in images]), labels)
+        out, grads = self._logits_and_grads(
+            model, lambda: model.forward_batch(images), labels)
+        assert out.shape == (5, 3)
+        assert np.max(np.abs(out - ref)) < 1e-12
+        for name, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[name])) < 1e-12, name
+        assert any(np.any(g != 0.0) for g in grads.values())
+
+    def test_single_image_paths_agree_with_the_batch(self):
+        model, images, _ = self._model_and_batch()
+        batch = model.forward_batch(images).data
+        for i, im in enumerate(images):
+            assert np.max(np.abs(model.forward_logits(im).data - batch[i])) < 1e-12
+            _, label = model.classify(im)
+            assert label == int(np.argmax(batch[i]))
+
+    def test_tape_length_independent_of_batch_size(self):
+        model, images, labels = self._model_and_batch()
+        lengths = []
+        for b in (1, 5):
+            with T.Tape() as tape:
+                T.cross_entropy(model.forward_batch(images[:b]), labels[:b])
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1] < 100
+
+    def test_backward_fills_every_parameter_and_no_intermediate(self):
+        model, images, labels = self._model_and_batch()
+        with T.Tape() as tape:
+            loss = T.cross_entropy(model.forward_batch(images), labels)
+        T.backward(loss, tape)
+        assert all(prm.grad is not None for prm in model.params.values())
+        assert all(entry.output.grad is None for entry in tape._entries)
+
+
 class TestClassify:
     def test_probabilities_sum_to_one(self):
         model = desk_model(seed=5)
