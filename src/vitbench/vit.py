@@ -115,9 +115,8 @@ def add_positional(embeddings: Tensor, cls_token: Tensor, pos_table: Tensor) -> 
         raise ConfigurationError(
             f"positional table has {pos_table.shape[0]} rows, expected {n + 1}"
         )
-    # adding zeros broadcasts the class token over the leading dims
-    cls = T.add(T.reshape(cls_token, (1,) * len(lead) + (1, d)),
-                Tensor(np.zeros((*lead, 1, d))))
+    # adding the class token to zeros broadcasts it over the leading dims
+    cls = T.add(Tensor(np.zeros((*lead, 1, d))), cls_token)
     seq = T.concat([cls, embeddings], axis=-2)
     return T.add(seq, pos_table)
 
