@@ -5,7 +5,8 @@ patches, flatten and project them, prepend a class token, add learned
 positional embeddings, run a stack of pre-norm transformer encoder blocks,
 and read the class token through a linear head.  The model runs
 batch-first: a B x C x H x W batch takes one pass, with the residual
-stream as one (B*T) x D matrix.
+stream as one B x T x D tensor whose weight projections are 2-D matmuls
+over all B*T rows.
 """
 
 from __future__ import annotations
@@ -157,8 +158,10 @@ def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights:
 
 
 def _mlp(x: Tensor, block: dict) -> Tensor:
-    h = T.gelu(T.add(T.matmul(x, block["mlp.w1"]), block["mlp.b1"]))
-    return T.add(T.matmul(h, block["mlp.w2"]), block["mlp.b2"])
+    """Two-layer GELU MLP on a (…, T, D) stream, as 2-D matmuls over all rows."""
+    rows = T.reshape(x, (-1, x.shape[-1]))
+    h = T.gelu(T.add(T.matmul(rows, block["mlp.w1"]), block["mlp.b1"]))
+    return T.reshape(T.add(T.matmul(h, block["mlp.w2"]), block["mlp.b2"]), x.shape)
 
 
 class ViTClassifier:
@@ -222,26 +225,23 @@ class ViTClassifier:
     def head_names(self) -> list[str]:
         return [k for k in self.params if k.startswith("head.")]
 
-    def encode_sequence(self, seq: Tensor, cls_only: bool = False) -> Tensor:
-        """Run the encoder stack on an already-embedded (…, T, D) sequence.
-
-        The residual stream is one (…·T) x D matrix.  Returns the (…, T, D)
-        output of the final norm or, with ``cls_only``, just the (…, D)
-        class-token rows, the only rows the final norm then reads.
-        """
-        *lead, t, d = seq.shape
-        x = T.reshape(seq, (-1, d))
+    def _blocks(self, seq: Tensor) -> Tensor:
+        """The encoder blocks on a (…, T, D) stream, before the final norm."""
+        x = seq
         for i in range(self.config.num_layers):
             blk = self.block_params(i)
-            attn_in = T.reshape(T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"]), seq.shape)
-            a = T.reshape(multi_head_attention(attn_in, blk, self.config.num_heads), (-1, d))
-            x = T.add(x, self._maybe_drop(a))
+            attn_in = T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"])
+            x = T.add(x, self._maybe_drop(multi_head_attention(attn_in, blk, self.config.num_heads)))
             mlp_in = T.layer_norm(x, blk["norm2.gamma"], blk["norm2.beta"])
             x = T.add(x, self._maybe_drop(_mlp(mlp_in, blk)))
-        x = T.reshape(x, seq.shape)
-        if cls_only:
-            x = T.reshape(T.slice_axis(x, -2, 0, 1), (*lead, d))
+        return x
+
+    def _final_norm(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.params["final_norm.gamma"], self.params["final_norm.beta"])
+
+    def encode_sequence(self, seq: Tensor) -> Tensor:
+        """Run the encoder stack and final norm on an embedded (…, T, D) sequence."""
+        return self._final_norm(self._blocks(seq))
 
     def _maybe_drop(self, x: Tensor) -> Tensor:
         if self.train_mode and self.config.dropout > 0.0:
@@ -261,7 +261,9 @@ class ViTClassifier:
         emb = embed_patches(patches, self.params["patch_proj.w"], self.params["patch_proj.b"])
         emb = T.reshape(emb, (len(images), cfg.num_patches, cfg.embed_dim))
         seq = add_positional(emb, self.params["cls_token"], self.params["pos_table"])
-        cls = self.encode_sequence(seq, cls_only=True)
+        # the final norm and the head read only the class-token rows
+        x = self._blocks(seq)
+        cls = self._final_norm(T.reshape(T.slice_axis(x, 1, 0, 1), (len(images), cfg.embed_dim)))
         return T.add(T.matmul(cls, self.params["head.w"]), self.params["head.b"])
 
     def forward_logits(self, image: np.ndarray) -> Tensor:
