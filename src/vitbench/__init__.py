@@ -3,7 +3,7 @@ toolkit built on its own tape-based autograd engine."""
 
 from .tensor import Tape, Tensor, backward, finite_diff_gradcheck, set_strict
 from .vit import ViTClassifier, ViTConfig
-from .cnn import CnnConfig, CnnModel, build_model
+from .cnn import CnnConfig, CnnModel
 from .train import Adam, ConfusionMatrix, MetricsRecord, TrainConfig
 
 __version__ = "0.1.0"
@@ -11,5 +11,5 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "ConfusionMatrix", "CnnConfig", "CnnModel", "MetricsRecord",
     "Tape", "Tensor", "TrainConfig", "ViTClassifier", "ViTConfig",
-    "backward", "build_model", "finite_diff_gradcheck", "set_strict",
+    "backward", "finite_diff_gradcheck", "set_strict",
 ]

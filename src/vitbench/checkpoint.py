@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .tensor import Tensor, tnsr_decode, tnsr_encode
+from .tensor import tnsr_decode, tnsr_encode
 
 _MAGIC = b"OVCK"
 _VERSION = 1
@@ -52,28 +52,38 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read an OVCK file; any malformed content raises :class:`FormatError`."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:4]!r}")
-    (version,) = struct.unpack("<H", data[4:6])
+    off = 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise FormatError(f"truncated checkpoint: {len(data)} bytes, needs {off + n}")
+        off += n
+        return data[off - n:off]
+
+    (version,) = struct.unpack("<H", take(2))
     if version != _VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", data[6:10])
-    off = 10
-    meta = json.loads(data[off:off + meta_len].decode("utf-8"))
-    off += meta_len
-    (count,) = struct.unpack("<I", data[off:off + 4])
-    off += 4
-    params = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", data[off:off + 2])
-        off += 2
-        name = data[off:off + name_len].decode("utf-8")
-        off += name_len
-        (blob_len,) = struct.unpack("<I", data[off:off + 4])
-        off += 4
-        params[name] = tnsr_decode(data[off:off + blob_len])
-        off += blob_len
+    (meta_len,) = struct.unpack("<I", take(4))
+    try:
+        meta = json.loads(take(meta_len).decode("utf-8"))
+        if not isinstance(meta, dict) or not {"kind", "config"} <= meta.keys():
+            raise FormatError("checkpoint metadata lacks 'kind' or 'config'")
+        (count,) = struct.unpack("<I", take(4))
+        params = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = take(name_len).decode("utf-8")
+            (blob_len,) = struct.unpack("<I", take(4))
+            params[name] = tnsr_decode(take(blob_len))
+    except ValueError as exc:  # text that is not UTF-8 or metadata that is not JSON
+        raise FormatError(f"malformed checkpoint: {exc}") from exc
+    if off != len(data):
+        raise FormatError(f"{len(data) - off} bytes after the last checkpoint parameter")
     kind = meta.pop("kind")
     config = meta.pop("config")
     return Checkpoint(kind=kind, config=config, params=params, metadata=meta)

@@ -18,11 +18,13 @@ import numpy as np
 
 from . import data as D
 from . import tensor as T
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, snapshot_params
-from .cnn import CNN_KINDS, CnnConfig, CnnModel
+from .checkpoint import (Checkpoint, load_checkpoint, load_params_into,
+                         save_checkpoint, snapshot_params)
 from .errors import ToolkitError
 from .train import (
+    MODEL_KINDS,
     TrainConfig,
+    best_val,
     emit_comparison,
     evaluate,
     fine_tune,
@@ -30,9 +32,6 @@ from .train import (
     pretrain,
     train,
 )
-from .vit import ViTClassifier, ViTConfig
-
-ALL_KINDS = ("vit",) + CNN_KINDS
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -67,21 +66,10 @@ def _apply_config_file(args: argparse.Namespace, argv: list) -> None:
                 setattr(args, attr, value)
 
 
-def _train_config(args, batch_cap: int | None = None) -> TrainConfig:
-    bs = args.batch_size if batch_cap is None else min(args.batch_size, batch_cap)
-    return TrainConfig(epochs=args.epochs, batch_size=bs, lr=args.lr,
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                        seed=args.seed,
                        freeze_backbone=getattr(args, "freeze_backbone", False))
-
-
-def _model_config(kind: str, num_classes: int, image_size: int = 32, channels: int = 3) -> dict:
-    if kind == "vit":
-        return ViTConfig(image_size=image_size, channels=channels,
-                         num_classes=num_classes).to_dict()
-    cfg = CnnConfig(kind=kind, num_classes=num_classes,
-                    image_size=image_size, channels=channels).to_dict()
-    cfg.pop("kind")
-    return cfg
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -116,7 +104,7 @@ def cmd_split(args) -> int:
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.model == "vit":
-        model = ViTClassifier(ViTConfig(num_classes=3), seed=args.seed)
+        model = make_model("vit", {"num_classes": 3}, seed=args.seed)
         cfg = model.config
         image = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
         eps = 1e-4
@@ -152,8 +140,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_pretrain(args) -> int:
     manifest = D.load_manifest(args.manifest)
     cfg = _train_config(args)
-    model_cfg = _model_config(args.model, manifest.num_classes)
-    ckpt = pretrain(args.model, model_cfg, manifest, cfg)
+    ckpt = pretrain(args.model, {"num_classes": manifest.num_classes}, manifest, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"{args.model}_{manifest.name}.ckpt"
     save_checkpoint(ckpt, path)
@@ -185,7 +172,6 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     manifest = D.load_manifest(args.manifest)
     model = make_model(ckpt.kind, ckpt.config, seed=0)
-    from .checkpoint import load_params_into
     load_params_into(model, ckpt.params)
     record, cm = evaluate(model, manifest, split=args.split)
     print(f"accuracy={record.accuracy:.4f} loss={record.loss:.4f}")
@@ -196,7 +182,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     """Run a model x dataset grid and emit the comparison CSV + summary."""
-    kinds = args.models.split(",") if args.models else list(ALL_KINDS)
+    kinds = args.models.split(",") if args.models else list(MODEL_KINDS)
     manifests = [D.load_manifest(p) for p in args.manifests]
     args.out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -205,20 +191,14 @@ def cmd_compare(args) -> int:
         tr, va, te = D.split_dataset(manifest, spec)
         for kind in kinds:
             cfg = _train_config(args)
-            model = make_model(kind, _model_config(kind, manifest.num_classes), seed=args.seed)
+            model = make_model(kind, {"num_classes": manifest.num_classes}, seed=args.seed)
             history = train(model, tr, va, cfg)
             records.extend(history)
     csv_path = args.out / "comparison.csv"
     emit_comparison(records, csv_path)
-    best: dict[str, tuple] = {}
-    for r in records:
-        if r.split != "val":
-            continue
-        if r.dataset not in best or r.accuracy > best[r.dataset][1]:
-            best[r.dataset] = (r.model, r.accuracy)
     summary_lines = [
-        f"{ds}: best model {m} with val accuracy {a * 100.0:.2f}%"
-        for ds, (m, a) in sorted(best.items())
+        f"{ds}: best model {r.model} with val accuracy {r.accuracy * 100.0:.2f}%"
+        for ds, r in sorted(best_val(records).items())
     ]
     summary_path = args.out / "summary.txt"
     summary_path.write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
@@ -255,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--model", choices=ALL_KINDS, default="vit")
+    p.add_argument("--model", choices=MODEL_KINDS, default="vit")
     p.add_argument("--entries-per-param", type=int, default=4,
                    help="sampled entries per parameter tensor")
     _add_common(p)
@@ -263,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="train from scratch on a surrogate task")
     p.add_argument("manifest", type=Path)
-    p.add_argument("--model", choices=ALL_KINDS, default="vit")
+    p.add_argument("--model", choices=MODEL_KINDS, default="vit")
     _add_common(p)
     p.set_defaults(fn=cmd_pretrain)
 

@@ -7,13 +7,13 @@ mode-free and easy to gradient-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError
-from .tensor import Tensor
+from .tensor import Model, Tensor
 
 CNN_KINDS = ("vgg-mini", "resnet-mini", "mobilenet-mini")
 
@@ -41,12 +41,7 @@ class CnnConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "stage_widths": list(self.stage_widths),
-            "blocks_per_stage": self.blocks_per_stage,
-            "num_classes": self.num_classes,
-            "image_size": self.image_size, "channels": self.channels,
-        }
+        return {**asdict(self), "stage_widths": list(self.stage_widths)}
 
 
 def _conv(x: Tensor, w: Tensor, b: Tensor, stride=1, padding=1, groups=1) -> Tensor:
@@ -78,7 +73,7 @@ def depthwise_separable(x: Tensor, params: dict, stride: int = 1) -> Tensor:
     return T.relu(_conv(h, params["pw.w"], params["pw.b"], stride=1, padding=0))
 
 
-class CnnModel:
+class CnnModel(Model):
     """A built CNN with named parameters and a batched forward pass."""
 
     def __init__(self, config: CnnConfig, seed: int = 0):
@@ -152,12 +147,6 @@ class CnnModel:
         pre = f"stages.{stage}.{j}."
         return {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
 
-    def backbone_names(self) -> list[str]:
-        return [k for k in self.params if not k.startswith("head.")]
-
-    def head_names(self) -> list[str]:
-        return [k for k in self.params if k.startswith("head.")]
-
     def forward_batch(self, images: np.ndarray) -> Tensor:
         cfg = self.config
         x = Tensor(np.asarray(images))
@@ -182,7 +171,3 @@ class CnnModel:
                     x = depthwise_separable(x, self.block_params(s, j), stride=2 if j == 0 else 1)
             feat = T.global_avg_pool(x)
         return T.add(T.matmul(feat, p["head.w"]), p["head.b"])
-
-
-def build_model(config: CnnConfig, seed: int = 0) -> CnnModel:
-    return CnnModel(config, seed=seed)

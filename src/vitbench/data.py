@@ -24,7 +24,7 @@ from .errors import (
     RangeError,
     ValidationError,
 )
-from .tensor import tnsr_decode, tnsr_encode
+from .tensor import tnsr_decode
 
 
 @dataclass
@@ -136,6 +136,8 @@ def _parse_pnm_header(data: bytes, magic: bytes):
             j = i
             while j < len(data) and not data[j:j + 1].isspace():
                 j += 1
+            if not data[i:j].isdigit():
+                raise FormatError(f"non-numeric header token {data[i:j]!r}")
             tokens.append(int(data[i:j]))
             i = j
     i += 1  # single whitespace after maxval
@@ -181,14 +183,6 @@ def encode_ppm(img: np.ndarray) -> bytes:
         raise FormatError(f"PPM needs 3 channels, got {c}")
     raw = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     return b"P6\n%d %d\n255\n" % (w, h) + raw.transpose(1, 2, 0).tobytes()
-
-
-def encode_pgm(img: np.ndarray) -> bytes:
-    c, h, w = img.shape
-    if c != 1:
-        raise FormatError(f"PGM needs 1 channel, got {c}")
-    raw = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
-    return b"P5\n%d %d\n255\n" % (w, h) + raw.tobytes()
 
 
 _EXT_FORMATS = {".ppm": "ppm", ".pgm": "pgm", ".tnsr": "tnsr"}

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,10 +40,6 @@ def set_strict(flag: bool) -> None:
     """Enable/disable finiteness checking after every operation."""
     global _STRICT
     _STRICT = bool(flag)
-
-
-def strict_enabled() -> bool:
-    return _STRICT
 
 
 class Tensor:
@@ -85,9 +80,6 @@ class Tensor:
             self._grad = np.zeros_like(self.data)
         self._grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -120,12 +112,23 @@ class Tensor:
         return matmul(self, other)
 
 
-@dataclass
-class Parameter:
-    """A named trainable tensor; names are unique within a model."""
+class Model:
+    """The protocol every classifier shares with training and transfer.
 
-    name: str
-    value: Tensor
+    A model has ``params`` (name -> Tensor), a ``kind``, a ``config`` with
+    ``to_dict()``, ``forward_batch(images) -> logits`` and a ``train_mode``
+    flag that ``train`` sets.  Parameters named ``head.*`` form the
+    classification head; fine-tuning replaces them and keeps the backbone.
+    """
+
+    train_mode = False
+    params: dict
+
+    def head_names(self) -> list[str]:
+        return [k for k in self.params if k.startswith("head.")]
+
+    def backbone_names(self) -> list[str]:
+        return [k for k in self.params if not k.startswith("head.")]
 
 
 class _TapeEntry:

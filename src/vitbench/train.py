@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as D
-from . import tensor as T
 from .checkpoint import Checkpoint, load_params_into, snapshot_params
 from .cnn import CNN_KINDS, CnnConfig, CnnModel
 from .errors import (
@@ -17,19 +16,20 @@ from .errors import (
     EmptyDatasetError,
     TrainingError,
 )
-from .tensor import Tape, Tensor, backward, cross_entropy
+from .tensor import Tape, backward, cross_entropy
 from .vit import ViTClassifier, ViTConfig
+
+MODEL_KINDS = ("vit",) + CNN_KINDS
 
 
 def make_model(kind: str, config: dict, seed: int = 0):
-    """Build a model of the given kind from a plain config dict."""
+    """The one model factory: ``config`` is a plain dict, and fields it
+    omits take their defaults, so ``{"num_classes": n}`` suits every kind."""
     if kind == "vit":
         return ViTClassifier(ViTConfig(**config), seed=seed)
     if kind in CNN_KINDS:
-        cfg = dict(config)
-        cfg["kind"] = kind
-        return CnnModel(CnnConfig(**cfg), seed=seed)
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+        return CnnModel(CnnConfig(**{**config, "kind": kind}), seed=seed)
+    raise ConfigurationError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
 @dataclass
@@ -183,8 +183,7 @@ def train(model, train_manifest: D.DatasetManifest,
     cache = cache or D.ImageCache()
     opt = Adam(_trainable_params(model, cfg), lr=cfg.lr)
     history: list[MetricsRecord] = []
-    if hasattr(model, "train_mode"):
-        model.train_mode = True
+    model.train_mode = True
     try:
         for epoch in range(cfg.epochs):
             batches = D.make_batches(
@@ -215,18 +214,15 @@ def train(model, train_manifest: D.DatasetManifest,
                 accuracy=train_acc, loss=epoch_loss / seen,
             ))
             if val_manifest is not None and val_manifest.entries:
-                if hasattr(model, "train_mode"):
-                    model.train_mode = False
+                model.train_mode = False
                 rec, _ = evaluate(model, val_manifest, cache=cache,
                                   epoch=epoch, split="val")
-                if hasattr(model, "train_mode"):
-                    model.train_mode = True
+                model.train_mode = True
                 history.append(rec)
             if stop_at_train_acc is not None and train_acc >= stop_at_train_acc:
                 break
     finally:
-        if hasattr(model, "train_mode"):
-            model.train_mode = False
+        model.train_mode = False
     return history
 
 
@@ -256,11 +252,9 @@ def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,
     """Backbone from checkpoint, fresh head sized for the target classes."""
     config = dict(ckpt.config)
     config["num_classes"] = target_manifest.num_classes
-    if ckpt.kind in CNN_KINDS:
-        config.pop("kind", None)
     model = make_model(ckpt.kind, config, seed=cfg.seed)
     backbone = model.backbone_names()
-    expected_backbone = {n for n in ckpt.params if not n.startswith("head.")}
+    expected_backbone = set(ckpt.params) - set(model.head_names())
     if set(backbone) != expected_backbone:
         missing = sorted(set(backbone) - expected_backbone)
         extra = sorted(expected_backbone - set(backbone))
@@ -279,23 +273,31 @@ def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,
 CSV_HEADER = "model,dataset,epoch,split,accuracy,loss"
 
 
+def _csv_order(records: list[MetricsRecord]) -> list[MetricsRecord]:
+    return sorted(records, key=lambda r: (r.dataset, r.model, r.epoch, r.split))
+
+
+def best_val(records: list[MetricsRecord]) -> dict[str, MetricsRecord]:
+    """Best validation record per dataset.  Ties go to the first record in
+    CSV row order, so the CSV footer and the summary name the same model."""
+    best: dict[str, MetricsRecord] = {}
+    for r in _csv_order(records):
+        if r.split == "val" and (r.dataset not in best
+                                 or r.accuracy > best[r.dataset].accuracy):
+            best[r.dataset] = r
+    return best
+
+
 def emit_comparison(records: list[MetricsRecord], out_path) -> None:
     """Write the comparison CSV: accuracy as a percentage with 2 decimals,
     loss with 2 decimals, rows sorted, best-val footer per dataset."""
-    rows = sorted(records, key=lambda r: (r.dataset, r.model, r.epoch, r.split))
     lines = [CSV_HEADER]
-    for r in rows:
+    for r in _csv_order(records):
         lines.append(
             f"{r.model},{r.dataset},{r.epoch},{r.split},"
             f"{r.accuracy * 100.0:.2f},{r.loss:.2f}"
         )
-    best: dict[str, MetricsRecord] = {}
-    for r in rows:
-        if r.split != "val":
-            continue
-        cur = best.get(r.dataset)
-        if cur is None or r.accuracy > cur.accuracy:
-            best[r.dataset] = r
+    best = best_val(records)
     for ds in sorted(best):
         r = best[ds]
         lines.append(

@@ -11,13 +11,13 @@ over all B*T rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError
-from .tensor import Tensor
+from .tensor import Model, Tensor
 
 
 @dataclass
@@ -63,13 +63,7 @@ class ViTConfig:
         return self.patch_size * self.patch_size * self.channels
 
     def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size, "channels": self.channels,
-            "patch_size": self.patch_size, "embed_dim": self.embed_dim,
-            "num_heads": self.num_heads, "num_layers": self.num_layers,
-            "mlp_ratio": self.mlp_ratio, "num_classes": self.num_classes,
-            "dropout": self.dropout,
-        }
+        return asdict(self)
 
 
 def partition_and_flatten(image: np.ndarray, patch_size: int) -> np.ndarray:
@@ -164,7 +158,7 @@ def _mlp(x: Tensor, block: dict) -> Tensor:
     return T.reshape(T.add(T.matmul(h, block["mlp.w2"]), block["mlp.b2"]), x.shape)
 
 
-class ViTClassifier:
+class ViTClassifier(Model):
     """Patch embedder + positional table + encoder blocks + linear head.
 
     Parameters live in ``self.params`` keyed by dotted names; the name set
@@ -176,7 +170,6 @@ class ViTClassifier:
     def __init__(self, config: ViTConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.train_mode = False
         self._drop_rng = np.random.default_rng(seed + 1)
         rng = np.random.default_rng(seed)
         d = config.embed_dim
@@ -218,12 +211,6 @@ class ViTClassifier:
     def block_params(self, i: int) -> dict:
         pre = f"blocks.{i}."
         return {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
-
-    def backbone_names(self) -> list[str]:
-        return [k for k in self.params if not k.startswith("head.")]
-
-    def head_names(self) -> list[str]:
-        return [k for k in self.params if k.startswith("head.")]
 
     def _blocks(self, seq: Tensor) -> Tensor:
         """The encoder blocks on a (…, T, D) stream, before the final norm."""

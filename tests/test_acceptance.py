@@ -43,7 +43,7 @@ import conftest
 from vitbench import data as D
 from vitbench import tensor as T
 from vitbench.cli import main as cli_main
-from vitbench.cnn import CnnConfig, build_model
+from vitbench.cnn import CnnConfig, CnnModel
 from vitbench.tensor import Tensor
 from vitbench.train import (
     ConfusionMatrix,
@@ -93,7 +93,7 @@ class TestGradientCheckSuite:
             max_entries_per_param=4, rng=np.random.default_rng(1)))
 
         for kind in ("vgg-mini", "resnet-mini", "mobilenet-mini"):
-            model = build_model(CnnConfig(kind=kind, **CNN_TINY), seed=0)
+            model = CnnModel(CnnConfig(kind=kind, **CNN_TINY), seed=0)
             # check at a generic point: jitter away from exact-zero biases
             # so no relu preactivation sits on its kink
             jr = np.random.default_rng(100)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vitbench import cli
 from vitbench import data as D
 from vitbench.cli import build_parser, main
+from vitbench.train import MetricsRecord
 
 
 def run(argv):
@@ -71,14 +73,15 @@ class TestGradcheck:
 
 
 class TestWorkflow:
-    def test_pretrain_evaluate_finetune(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["vit", "resnet-mini"])
+    def test_pretrain_evaluate_finetune(self, kind, tmp_path, capsys):
         run(["gen-synthetic", "--name", "src", "--classes", "3",
              "--per-class", "4, ".strip(", "), "--out", tmp_path / "src", "--seed", "3"])
         code = run(["pretrain", tmp_path / "src" / "src.manifest",
-                    "--model", "vit", "--epochs", "1", "--batch-size", "8",
+                    "--model", kind, "--epochs", "1", "--batch-size", "8",
                     "--out", tmp_path / "ckpt", "--seed", "0"])
         assert code == 0
-        ckpt = tmp_path / "ckpt" / "vit_src.ckpt"
+        ckpt = tmp_path / "ckpt" / f"{kind}_src.ckpt"
         assert ckpt.exists()
 
         code = run(["evaluate", ckpt, tmp_path / "src" / "src.manifest"])
@@ -93,16 +96,35 @@ class TestWorkflow:
                     "--out", tmp_path / "ft", "--seed", "0",
                     "--freeze-backbone"])
         assert code == 0
-        assert (tmp_path / "ft" / "vit_tgt_finetuned.ckpt").exists()
+        assert (tmp_path / "ft" / f"{kind}_tgt_finetuned.ckpt").exists()
 
     def test_evaluate_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
-        (tmp_path / "bad.ckpt").write_bytes(b"NOPE")
         run(["gen-synthetic", "--name", "d", "--classes", "2", "--per-class", "2",
              "--out", tmp_path / "d", "--seed", "1"])
-        code = run(["evaluate", tmp_path / "bad.ckpt",
-                    tmp_path / "d" / "d.manifest"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        # a wrong magic, and a right magic cut short inside the header
+        for bad in (b"NOPE", b"OVCK\x01\x00\x05\x00"):
+            (tmp_path / "bad.ckpt").write_bytes(bad)
+            code = run(["evaluate", tmp_path / "bad.ckpt",
+                        tmp_path / "d" / "d.manifest"])
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
+
+
+class TestCompare:
+    def test_summary_and_csv_footer_agree_on_a_tie(self, tmp_path, monkeypatch):
+        def tied_train(model, tr, va, cfg):
+            return [MetricsRecord(model.kind, "d", 0, "val", 0.8, 0.5)]
+
+        monkeypatch.setattr(cli, "train", tied_train)
+        run(["gen-synthetic", "--name", "d", "--classes", "2", "--per-class", "5",
+             "--out", tmp_path / "d", "--seed", "1"])
+        code = run(["compare", tmp_path / "d" / "d.manifest",
+                    "--models", "vit,vgg-mini", "--out", tmp_path / "out"])
+        assert code == 0
+        footer = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[-1]
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert footer.startswith("# best val: dataset=d model=vgg-mini ")
+        assert summary.startswith("d: best model vgg-mini ")
 
 
 class TestConfigFile:

@@ -5,7 +5,6 @@ from vitbench import tensor as T
 from vitbench.cnn import (
     CnnConfig,
     CnnModel,
-    build_model,
     depthwise_separable,
     residual_block,
 )
@@ -59,7 +58,7 @@ def expected_param_count(cfg: CnnConfig) -> int:
 class TestBuildModel:
     @pytest.mark.parametrize("kind", ["vgg-mini", "resnet-mini", "mobilenet-mini"])
     def test_forward_shape(self, kind):
-        model = build_model(CnnConfig(kind=kind, num_classes=5))
+        model = CnnModel(CnnConfig(kind=kind, num_classes=5))
         rng = np.random.default_rng(0)
         logits = model.forward_batch(rng.random((2, 3, 32, 32)))
         assert logits.shape == (2, 5)
@@ -67,7 +66,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("kind", ["vgg-mini", "resnet-mini", "mobilenet-mini"])
     def test_parameter_count_matches_accounting(self, kind):
         cfg = CnnConfig(kind=kind)
-        model = build_model(cfg)
+        model = CnnModel(cfg)
         actual = sum(p.size for p in model.params.values())
         assert actual == expected_param_count(cfg)
 
@@ -81,7 +80,7 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("kind", ["vgg-mini", "resnet-mini", "mobilenet-mini"])
     def test_forward_deterministic(self, kind):
-        model = build_model(CnnConfig(kind=kind), seed=1)
+        model = CnnModel(CnnConfig(kind=kind), seed=1)
         rng = np.random.default_rng(1)
         x = rng.random((1, 3, 32, 32))
         a = model.forward_batch(x).data
@@ -187,7 +186,7 @@ class TestDepthwiseSeparable:
 
 class TestZeroWeightReduction:
     def test_resnet_zero_non_shortcut_reduces_to_relu_shortcut(self):
-        model = build_model(CnnConfig(kind="resnet-mini", **{
+        model = CnnModel(CnnConfig(kind="resnet-mini", **{
             "stage_widths": [4, 8], "blocks_per_stage": 1,
             "num_classes": 3, "image_size": 8, "channels": 3}), seed=0)
         for name, p in model.params.items():
@@ -213,7 +212,7 @@ class TestEndToEndGradcheck:
     @pytest.mark.parametrize("kind", ["vgg-mini", "resnet-mini", "mobilenet-mini"])
     def test_tiny_config(self, kind):
         cfg = dict(TINY)
-        model = build_model(CnnConfig(kind=kind, **cfg), seed=0)
+        model = CnnModel(CnnConfig(kind=kind, **cfg), seed=0)
         # gradcheck at a generic point: jitter away from exact-zero biases
         # so no relu preactivation sits on its kink
         jr = np.random.default_rng(100)

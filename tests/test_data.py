@@ -114,6 +114,10 @@ class TestDecodeImage:
         with pytest.raises(FormatError, match="truncated"):
             D.decode_image(data, "ppm")
 
+    def test_non_numeric_header_token(self):
+        with pytest.raises(FormatError, match="non-numeric"):
+            D.decode_image(b"P6\n3 x\n255\n", "ppm")
+
     def test_ppm_encode_decode_round_trip(self):
         rng = np.random.default_rng(2)
         img = np.rint(rng.random((3, 5, 7)) * 255) / 255.0

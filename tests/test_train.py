@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vitbench.errors import (
     ConfigurationError,
     ContractError,
     EmptyDatasetError,
+    FormatError,
     ValidationError,
 )
 from vitbench.tensor import Tensor
@@ -189,6 +192,35 @@ class TestCheckpoint:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_every_proper_prefix_is_format_error(self, tmp_path):
+        ckpt = Checkpoint(kind="vit", config={"num_classes": 2},
+                          params={"a": np.arange(3.0), "head.w": np.ones((2, 2))})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        full = path.read_bytes()
+        for n in range(len(full)):
+            path.write_bytes(full[:n])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta, tail", [
+        (b'{"config": {}, "kind": "vit"}', b"\x00"),  # bytes after the last parameter
+        (b'{"kind"', b""),                             # not JSON
+        (b"\xff", b""),                                # not UTF-8
+        (b'{"kind": "vit"}', b""),                     # no config
+        (b"[]", b""),                                  # not an object
+    ])
+    def test_malformed_body_is_format_error(self, meta, tail, tmp_path):
+        def ovck(meta, tail):
+            return b"OVCK" + struct.pack("<HI", 1, len(meta)) + meta + struct.pack("<I", 0) + tail
+
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(ovck(b'{"config": {}, "kind": "vit"}', b""))
+        assert load_checkpoint(path).kind == "vit"
+        path.write_bytes(ovck(meta, tail))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_mismatched_config_lists_names(self, tmp_path):
         model = make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=0)
