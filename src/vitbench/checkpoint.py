@@ -9,6 +9,7 @@ name length + name bytes + u32 LE blob length + TNSR blob.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,23 +33,35 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write an OVCK file atomically: a temp file beside ``path``, then a rename.
+
+    A write that fails partway leaves an existing file at ``path`` as it
+    was and removes the temp file.
+    """
+    path = Path(path)
     meta = dict(ckpt.metadata)
     meta["kind"] = ckpt.kind
     meta["config"] = ckpt.config
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<H", ckpt.version))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(ckpt.params)))
-        for name in sorted(ckpt.params):
-            blob = tnsr_encode(ckpt.params[name])
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<H", ckpt.version))
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(ckpt.params)))
+            for name in sorted(ckpt.params):
+                blob = tnsr_encode(ckpt.params[name])
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

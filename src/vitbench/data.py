@@ -72,7 +72,11 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     name = path.stem
     note = ""
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#classes:"):

@@ -12,6 +12,7 @@ Forward operations never mutate their inputs.  When strict mode is enabled
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -515,13 +516,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # convolution and pooling
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, ho: int, wo: int):
-    b, c, _, _ = xp.shape
-    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-    return cols
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Padded (B, C, Hp, Wp) -> contiguous patch columns (B, C, kh, kw, Ho, Wo)."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return np.ascontiguousarray(win[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3))
 
 
 def _col2im(cols: np.ndarray, x_shape, ph: int, pw: int, sh: int, sw: int):
@@ -543,7 +541,13 @@ def conv2d(
     padding=(0, 0),
     groups: int = 1,
 ) -> Tensor:
-    """Strided zero-padded cross-correlation (no kernel flip), with groups."""
+    """Strided zero-padded cross-correlation (no kernel flip), with groups.
+
+    Lowered to one batched GEMM over im2col columns for every ``groups``
+    value: the columns are viewed as (B, G, Cg*kh*kw, Ho*Wo) and the kernel
+    as (G, Og, Cg*kh*kw), so plain, grouped and depthwise convolution share
+    one ``np.matmul`` forward and two in backward.
+    """
     if isinstance(stride, int):
         stride = (stride, stride)
     if isinstance(padding, int):
@@ -571,33 +575,23 @@ def conv2d(
             f"non-positive conv output extent {ho}x{wo} for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, kh, kw, sh, sw, ho, wo)
-    cg = cin // groups
-    og = cout // groups
-    y = np.empty((b, cout, ho, wo), dtype=x.data.dtype)
-    for g_i in range(groups):
-        cs = cols[:, g_i * cg : (g_i + 1) * cg]
-        ks = kernel.data[g_i * og : (g_i + 1) * og]
-        y[:, g_i * og : (g_i + 1) * og] = np.einsum(
-            "bcijhw,ocij->bohw", cs, ks, optimize=True
-        )
-    out = Tensor(y)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
+    cols = _im2col(xp, kh, kw, sh, sw)
+    c4 = cols.reshape(b, groups, ck * kh * kw, ho * wo)
+    k3 = kernel.data.reshape(groups, cout // groups, ck * kh * kw)
+    # (B, G, Og, Ho*Wo) is already NCHW once G and Og merge
+    out = Tensor(np.matmul(k3, c4).reshape(b, cout, ho, wo))
 
     def bw(g):
-        dk = np.empty_like(kernel.data)
-        dcols = np.empty_like(cols)
-        for gi in range(groups):
-            cs = cols[:, gi * cg : (gi + 1) * cg]
-            ks = kernel.data[gi * og : (gi + 1) * og]
-            go = g[:, gi * og : (gi + 1) * og]
-            dk[gi * og : (gi + 1) * og] = np.einsum(
-                "bcijhw,bohw->ocij", cs, go, optimize=True
-            )
-            dcols[:, gi * cg : (gi + 1) * cg] = np.einsum(
-                "ocij,bohw->bcijhw", ks, go, optimize=True
-            )
-        dx = _col2im(dcols, x.shape, ph, pw, sh, sw)
+        # backward drops gradients of inputs that need none (the images
+        # entering the first conv), so they are not computed
+        g4 = g.reshape(b, groups, cout // groups, ho * wo)
+        dx = dk = None
+        if x.requires_grad:
+            dcols = np.matmul(k3.swapaxes(-1, -2), g4).reshape(cols.shape)
+            dx = _col2im(dcols, x.shape, ph, pw, sh, sw)
+        if kernel.requires_grad:
+            dk = np.matmul(g4, c4.swapaxes(-1, -2)).sum(axis=0).reshape(kernel.shape)
         return [(x, dx), (kernel, dk)]
 
     return _finish(out, (x, kernel), bw)
@@ -717,7 +711,8 @@ def tnsr_decode(data: bytes) -> np.ndarray:
         raise FormatError("truncated TNSR header")
     shape = struct.unpack(f"<{rank}Q", data[off : off + 8 * rank]) if rank else ()
     off += 8 * rank
-    count = int(np.prod(shape)) if rank else 1
+    # math.prod on Python ints cannot wrap the way an int64 product can
+    count = math.prod(shape)
     itemsize = 4 if code == 1 else 8
     if len(data) != off + count * itemsize:
         raise FormatError(

@@ -104,8 +104,9 @@ class ConfusionMatrix:
     def __init__(self, num_classes: int):
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def add(self, true_label: int, predicted: int) -> None:
-        self.counts[true_label, predicted] += 1
+    def add(self, true_labels, predicted) -> None:
+        """Count one (label, prediction) pair, or equal-length arrays of them."""
+        np.add.at(self.counts, (true_labels, predicted), 1)
 
     @property
     def total(self) -> int:
@@ -154,9 +155,7 @@ def evaluate(model, manifest: D.DatasetManifest,
         logits = model.forward_batch(batch.images)
         loss = cross_entropy(logits, batch.labels)
         total_loss += loss.item() * len(batch.labels)
-        preds = np.argmax(logits.data, axis=1)
-        for lab, pred in zip(batch.labels, preds):
-            cm.add(int(lab), int(pred))
+        cm.add(batch.labels, np.argmax(logits.data, axis=1))
         n += len(batch.labels)
     record = MetricsRecord(
         model=model.kind, dataset=_dataset_name(manifest),

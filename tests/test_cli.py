@@ -61,6 +61,12 @@ class TestSplit:
         te = D.load_manifest(tmp_path / "splits" / "full-test.manifest")
         assert (len(tr), len(va), len(te)) == (32, 4, 4)
 
+    def test_non_utf8_manifest_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(b"#classes: a,b\n\xff\t0\n")
+        assert run(["split", path, "--out", tmp_path / "splits"]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_vit_reports_below_threshold(self, capsys):

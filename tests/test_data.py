@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,12 @@ class TestManifest:
         with pytest.raises(FormatError, match="#classes"):
             D.load_manifest(path)
 
+    def test_non_utf8_names_path(self, tmp_path):
+        path = tmp_path / "bytes.manifest"
+        path.write_bytes(b"#classes: a,b\n\xff\t0\n")
+        with pytest.raises(FormatError, match="bytes.manifest"):
+            D.load_manifest(path)
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "fmt.manifest"
         path.write_text("#classes: a\nonly-one-field\n")
@@ -103,6 +111,12 @@ class TestDecodeImage:
     def test_tnsr_bad_magic(self):
         with pytest.raises(FormatError):
             D.decode_image(b"TNSX" + bytes(20), "tnsr")
+
+    def test_tnsr_extent_product_overflow(self):
+        # 2^32 * 2^32 wraps to 0 in int64, which would pass the length check
+        data = b"TNSR" + struct.pack("<BBB", 1, 2, 3) + struct.pack("<3Q", 1, 2**32, 2**32)
+        with pytest.raises(FormatError, match="does not match shape"):
+            D.decode_image(data, "tnsr")
 
     def test_tnsr_range_check(self):
         img = np.full((1, 2, 2), 1.5)

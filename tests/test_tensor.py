@@ -96,7 +96,60 @@ class TestTranspose:
             T.transpose(Tensor(np.zeros((2, 3, 4))))
 
 
+def _conv2d_loop(x, k, stride, padding, groups):
+    """Plain nested-loop cross-correlation: the reference for conv2d."""
+    b, cin, h, w = x.shape
+    cout, cg, kh, kw = k.shape
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw))
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    og = cout // groups
+    y = np.zeros((b, cout, ho, wo))
+    for n in range(b):
+        for o in range(cout):
+            c0 = (o // og) * cg
+            for r in range(ho):
+                for c in range(wo):
+                    acc = 0.0
+                    for ci in range(cg):
+                        for i in range(kh):
+                            for j in range(kw):
+                                acc += xp[n, c0 + ci, r * sh + i, c * sw + j] * k[o, ci, i, j]
+                    y[n, o, r, c] = acc
+    return y
+
+
 class TestConv2d:
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", [
+        ((2, 3, 6, 7), (4, 3, 2, 3), (1, 1), (0, 0), 1),   # rectangular kernel
+        ((2, 3, 7, 5), (5, 3, 3, 3), (2, 2), (1, 1), 1),
+        ((2, 4, 6, 7), (6, 2, 3, 2), (2, 2), (1, 1), 2),   # groups=2, Og=3
+        ((1, 4, 5, 6), (4, 2, 2, 3), (1, 1), (0, 0), 2),
+        ((2, 3, 6, 5), (3, 1, 3, 3), (1, 1), (1, 1), 3),   # depthwise
+        ((2, 3, 7, 6), (6, 1, 2, 3), (1, 2), (1, 0), 3),   # depthwise, multiplier 2
+    ])
+    def test_matches_loop_reference(self, x_shape, k_shape, stride, padding, groups):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=x_shape)
+        k = rng.normal(size=k_shape)
+        y = T.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding, groups=groups)
+        ref = _conv2d_loop(x, k, stride, padding, groups)
+        assert y.shape == ref.shape
+        assert np.max(np.abs(y.data - ref)) < 1e-12
+
+    def test_grouped_strided_padded_gradient(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 4, 5, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(6, 2, 3, 3)), requires_grad=True)
+        w = rng.random((2, 6, 3, 3))
+        err = gradcheck(
+            lambda: T.tsum(T.mul(T.conv2d(x, k, stride=2, padding=1, groups=2), Tensor(w))),
+            [x, k],
+        )
+        assert err < 1e-3
+
     def test_1x1_identity_kernel(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.random((1, 1, 4, 4)))

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from vitbench import checkpoint
 from vitbench import data as D
 from vitbench import tensor as T
 from vitbench.checkpoint import (
@@ -160,6 +161,18 @@ class TestEvaluate:
         assert cm.total == 1000
         assert cm.accuracy == correct / 1000
 
+    def test_array_add_matches_per_sample_adds(self):
+        rng = np.random.default_rng(32)
+        labels = rng.integers(0, 3, size=200)
+        preds = rng.integers(0, 3, size=200)
+        batched, single = ConfusionMatrix(3), ConfusionMatrix(3)
+        batched.add(labels[:150], preds[:150])
+        batched.add(labels[150:], preds[150:])
+        for lab, pred in zip(labels, preds):
+            single.add(int(lab), int(pred))
+        assert np.array_equal(batched.counts, single.counts)
+        assert batched.total == 200
+
     def test_empty_manifest(self):
         manifest = D.DatasetManifest(name="x", class_names=["a"], entries=[])
         model = make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=0)
@@ -192,6 +205,27 @@ class TestCheckpoint:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_existing_file(self, tmp_path, monkeypatch):
+        params = {"a": np.arange(3.0), "b": np.ones(4), "head.w": np.ones((2, 2))}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config={"num_classes": 2}, params=params), path)
+        before = path.read_bytes()
+        encoded = []
+
+        def fail_on_second(arr):
+            if encoded:
+                raise OSError("disk full")
+            encoded.append(arr)
+            return T.tnsr_encode(arr)
+
+        monkeypatch.setattr(checkpoint, "tnsr_encode", fail_on_second)
+        newer = {name: value + 1.0 for name, value in params.items()}
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(Checkpoint(kind="vit", config={"num_classes": 2}, params=newer), path)
+        assert encoded  # the failure came partway through the write
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_every_proper_prefix_is_format_error(self, tmp_path):
         ckpt = Checkpoint(kind="vit", config={"num_classes": 2},
