@@ -93,7 +93,9 @@ def load_checkpoint(path) -> Checkpoint:
             name = take(name_len).decode("utf-8")
             (blob_len,) = struct.unpack("<I", take(4))
             params[name] = tnsr_decode(take(blob_len))
-    except ValueError as exc:  # text that is not UTF-8 or metadata that is not JSON
+    # text that is not UTF-8, metadata that is not JSON, or JSON nested
+    # deeper than the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"malformed checkpoint: {exc}") from exc
     if off != len(data):
         raise FormatError(f"{len(data) - off} bytes after the last checkpoint parameter")

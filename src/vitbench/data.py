@@ -146,6 +146,8 @@ def _parse_pnm_header(data: bytes, magic: bytes):
             i = j
     i += 1  # single whitespace after maxval
     w, h, maxval = tokens
+    if w == 0 or h == 0:
+        raise FormatError(f"image has a zero extent: {w}x{h}")
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     return w, h, i
@@ -173,6 +175,10 @@ def decode_image(data: bytes, fmt: str) -> np.ndarray:
         arr = tnsr_decode(data)
         if arr.ndim != 3:
             raise FormatError(f"TNSR image must be rank 3, got rank {arr.ndim}")
+        if 0 in arr.shape:
+            raise FormatError(f"TNSR image has a zero extent: {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise RangeError("TNSR image holds non-finite values")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise RangeError(
                 f"TNSR image values outside [0,1]: min {arr.min()}, max {arr.max()}"

@@ -485,6 +485,16 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 # loss
 
 
+def check_class_range(values, c: int, what: str = "label") -> None:
+    """Raise :class:`LabelError` naming the first of ``values`` (a scalar or
+    array of class indices) outside [0, c), and its index."""
+    values = np.atleast_1d(values)
+    bad = np.flatnonzero((values < 0) | (values >= c))
+    if bad.size:
+        i = int(bad[0])
+        raise LabelError(f"{what} {values[i]} at index {i} outside [0, {c})")
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], fused for stability."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -493,10 +503,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             f"cross_entropy: logits {logits.shape} vs labels {labels.shape}"
         )
     n, c = logits.shape
-    bad = np.flatnonzero((labels < 0) | (labels >= c))
-    if bad.size:
-        i = int(bad[0])
-        raise LabelError(f"label {labels[i]} at index {i} outside [0, {c})")
+    check_class_range(labels, c)
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
@@ -598,20 +605,38 @@ def conv2d(
 
 
 def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
-    """k x k max pooling with stride k; extents must divide evenly."""
-    b, c, h, w = x.shape
+    """k x k max pooling with stride k; extents must divide evenly.
+
+    Works on the k*k strided taps ``x[:, :, i::k, j::k]``: the forward is a
+    running ``np.maximum`` over them, and the backward writes each tap's
+    share of the gradient into its own strided slice of ``dx``.
+    """
+    if x.ndim != 4:
+        raise DimensionError(f"max_pool2d expects a 4-d input, got {x.shape}")
+    if k < 1:
+        raise ConfigurationError(f"max_pool2d: window {k} must be >= 1")
+    h, w = x.shape[2:]
     if h % k or w % k:
         raise ConfigurationError(f"max_pool2d: extents {h}x{w} not divisible by {k}")
-    xr = x.data.reshape(b, c, h // k, k, w // k, k)
-    y = xr.max(axis=(3, 5))
+    slices = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
+              for i in range(k) for j in range(k)]
+    y = x.data[slices[0]].copy()
+    for s in slices[1:]:
+        np.maximum(y, x.data[s], out=y)
     out = Tensor(y)
 
     def bw(g):
-        mask = xr == y[:, :, :, None, :, None]
+        masks = [x.data[s] == y for s in slices]
         # split the gradient among ties so the sum is preserved
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        dxr = mask * (g[:, :, :, None, :, None] / counts)
-        return [(x, dxr.reshape(x.shape))]
+        count = masks[0].astype(np.intp)
+        for m in masks[1:]:
+            count += m
+        share = g / count
+        # the taps tile x, so every element of dx is written exactly once
+        dx = np.empty(x.shape)
+        for s, m in zip(slices, masks):
+            np.multiply(m, share, out=dx[s])
+        return [(x, dx)]
 
     return _finish(out, (x,), bw)
 
@@ -721,4 +746,10 @@ def tnsr_decode(data: bytes) -> np.ndarray:
     arr = np.frombuffer(
         data, dtype="<f4" if code == 1 else "<f8", count=count, offset=off
     )
-    return arr.reshape(shape).astype(_DTYPE_CODES[code])
+    try:
+        # an empty payload still fails here on extents numpy cannot hold
+        # (over 2^63, a product over its size limit, or too many axes)
+        arr = arr.reshape(shape)
+    except ValueError as exc:
+        raise FormatError(f"TNSR shape {shape} is not representable: {exc}") from exc
+    return arr.astype(_DTYPE_CODES[code])

@@ -16,7 +16,7 @@ from .errors import (
     EmptyDatasetError,
     TrainingError,
 )
-from .tensor import Tape, backward, cross_entropy
+from .tensor import Tape, backward, check_class_range, cross_entropy
 from .vit import ViTClassifier, ViTConfig
 
 MODEL_KINDS = ("vit",) + CNN_KINDS
@@ -106,6 +106,8 @@ class ConfusionMatrix:
 
     def add(self, true_labels, predicted) -> None:
         """Count one (label, prediction) pair, or equal-length arrays of them."""
+        check_class_range(true_labels, len(self.counts), "label")
+        check_class_range(predicted, len(self.counts), "prediction")
         np.add.at(self.counts, (true_labels, predicted), 1)
 
     @property

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from vitbench import tensor as T
+
+# property tests draw the same examples on every run and every interpreter
+# (derandomize also turns off the example database), with no per-example
+# deadline to flake on a slow machine and a bounded example count
+settings.register_profile("vitbench", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("vitbench")
 
 # one verdict line per acceptance criterion, filled in by test_acceptance.py
 # and echoed after the run (survives pytest's output capture)

@@ -123,6 +123,26 @@ class TestDecodeImage:
         with pytest.raises(RangeError):
             D.decode_image(tnsr_encode(img), "tnsr")
 
+    @pytest.mark.parametrize("data, fmt", [
+        (b"P6\n0 0\n255\n", "ppm"),
+        (b"P6\n0 3\n255\n", "ppm"),
+        (b"P5\n4 0\n255\n", "pgm"),
+        (tnsr_encode(np.zeros((3, 0, 4))), "tnsr"),
+        (tnsr_encode(np.zeros((0, 2, 2))), "tnsr"),
+    ], ids=["ppm-0x0", "ppm-0x3", "pgm-4x0", "tnsr-3x0x4", "tnsr-0x2x2"])
+    def test_zero_extent_is_format_error(self, data, fmt):
+        with pytest.raises(FormatError, match="zero extent"):
+            D.decode_image(data, fmt)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_tnsr_non_finite_is_range_error(self, value):
+        with pytest.raises(RangeError, match="non-finite"):
+            D.decode_image(tnsr_encode(np.full((1, 2, 2), value)), "tnsr")
+        img = np.full((3, 2, 2), 0.5)
+        img[2, 1, 0] = value
+        with pytest.raises(RangeError, match="non-finite"):
+            D.decode_image(tnsr_encode(img), "tnsr")
+
     def test_truncated_ppm(self):
         data = b"P6\n2 2\n255\n" + bytes(5)
         with pytest.raises(FormatError, match="truncated"):

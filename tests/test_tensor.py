@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -202,6 +203,66 @@ class TestConv2d:
         k = Tensor(np.zeros((2, 1, 3, 3)))
         with pytest.raises(ConfigurationError):
             T.conv2d(x, k, groups=2)
+
+
+def _max_pool_loop(x, k):
+    """Plain nested-loop k x k, stride-k max pooling of a (B, C, H, W) array."""
+    b, c, h, w = x.shape
+    out = np.empty((b, c, h // k, w // k))
+    for n in range(b):
+        for ch in range(c):
+            for i in range(h // k):
+                for j in range(w // k):
+                    out[n, ch, i, j] = x[n, ch, i * k:(i + 1) * k, j * k:(j + 1) * k].max()
+    return out
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("shape, k", [
+        ((2, 3, 4, 6), 2),
+        ((1, 2, 6, 4), 2),
+        ((2, 2, 6, 9), 3),
+        ((1, 3, 9, 3), 3),
+    ])
+    def test_matches_loop_reference(self, shape, k):
+        x = np.random.default_rng(21).normal(size=shape)
+        y = T.max_pool2d(Tensor(x), k)
+        assert np.array_equal(y.data, _max_pool_loop(x, k))
+
+    def test_ties_split_the_gradient(self):
+        x = Tensor(np.full((1, 1, 2, 4), 0.5), requires_grad=True)
+        x.data[0, 0, :, 2:] = [[1.0, 3.0], [2.0, 0.0]]
+        g = np.array([[[[4.0, 8.0]]]])
+        with Tape() as tape:
+            y = T.max_pool2d(x, 2)
+            loss = T.tsum(T.mul(y, Tensor(g)))
+        backward(loss, tape)
+        # the four equal values share g/4; the single maximum takes all of g
+        assert np.array_equal(x.grad[0, 0], [[1.0, 1.0, 0.0, 8.0], [1.0, 1.0, 0.0, 0.0]])
+        assert x.grad.sum() == g.sum()
+
+    def test_gradient(self):
+        # a permutation of distinct values has no ties, so the max is smooth
+        data = np.random.default_rng(22).permutation(2 * 2 * 4 * 6).reshape(2, 2, 4, 6)
+        x = Tensor(data / 10.0, requires_grad=True)
+        w = np.random.default_rng(23).random((2, 2, 2, 3))
+        err = gradcheck(lambda: T.tsum(T.mul(T.max_pool2d(x, 2), Tensor(w))), [x])
+        assert err < 1e-3
+
+    def test_extents_not_divisible(self):
+        with pytest.raises(ConfigurationError):
+            T.max_pool2d(Tensor(np.zeros((1, 1, 4, 5))), 2)
+        with pytest.raises(ConfigurationError):
+            T.max_pool2d(Tensor(np.zeros((1, 1, 6, 6))), 4)
+
+    def test_input_must_be_4d(self):
+        with pytest.raises(DimensionError):
+            T.max_pool2d(Tensor(np.zeros((1, 4, 4))), 2)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_window_must_be_positive(self, k):
+        with pytest.raises(ConfigurationError):
+            T.max_pool2d(Tensor(np.zeros((1, 1, 4, 4))), k)
 
 
 class TestSoftmax:
@@ -473,3 +534,15 @@ class TestTnsr:
         data = T.tnsr_encode(np.ones((2, 2)))
         with pytest.raises(FormatError):
             T.tnsr_decode(data[:-3])
+
+    @pytest.mark.parametrize("shape", [
+        (0, 2**40, 2**40),   # over numpy's size limit
+        (0, 2**63),          # over the largest extent numpy holds
+        (1,) * 70,           # more axes than numpy holds
+    ])
+    def test_unrepresentable_shape_is_format_error(self, shape):
+        count = math.prod(shape)
+        data = (b"TNSR" + struct.pack("<BBB", 1, 2, len(shape))
+                + struct.pack(f"<{len(shape)}Q", *shape) + bytes(8 * count))
+        with pytest.raises(FormatError, match="not representable"):
+            T.tnsr_decode(data)

@@ -18,6 +18,7 @@ from vitbench.errors import (
     ContractError,
     EmptyDatasetError,
     FormatError,
+    LabelError,
     ValidationError,
 )
 from vitbench.tensor import Tensor
@@ -173,6 +174,19 @@ class TestEvaluate:
         assert np.array_equal(batched.counts, single.counts)
         assert batched.total == 200
 
+    @pytest.mark.parametrize("labels, preds, message", [
+        (-1, 0, "label -1 at index 0"),
+        (3, 0, "label 3 at index 0"),
+        (0, 3, "prediction 3 at index 0"),
+        (np.array([0, 2, -1, 5]), np.array([0, 1, 2, 0]), "label -1 at index 2"),
+        (np.array([0, 1, 2]), np.array([1, 7, 9]), "prediction 7 at index 1"),
+    ], ids=["neg-label", "big-label", "big-prediction", "label-array", "prediction-array"])
+    def test_out_of_range_is_label_error(self, labels, preds, message):
+        cm = ConfusionMatrix(3)
+        with pytest.raises(LabelError, match=message):
+            cm.add(labels, preds)
+        assert cm.total == 0
+
     def test_empty_manifest(self):
         manifest = D.DatasetManifest(name="x", class_names=["a"], entries=[])
         model = make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=0)
@@ -253,6 +267,13 @@ class TestCheckpoint:
         path.write_bytes(ovck(b'{"config": {}, "kind": "vit"}', b""))
         assert load_checkpoint(path).kind == "vit"
         path.write_bytes(ovck(meta, tail))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_metadata_nested_past_parser_limit_is_format_error(self, tmp_path):
+        meta = b"[" * 100_000
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"OVCK" + struct.pack("<HI", 1, len(meta)) + meta)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
