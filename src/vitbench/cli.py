@@ -20,7 +20,7 @@ from . import data as D
 from . import tensor as T
 from .checkpoint import (Checkpoint, load_checkpoint, load_params_into,
                          save_checkpoint, snapshot_params)
-from .errors import ToolkitError
+from .errors import ConfigurationError, ToolkitError
 from .train import (
     MODEL_KINDS,
     TrainConfig,
@@ -44,32 +44,40 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_config_file(args: argparse.Namespace, argv: list) -> None:
-    """File values fill in flags the user did not pass on the command line."""
+    """File values fill in flags the user did not pass on the command line.
+    A missing file is an ``OSError``; an unparsable file or value is a
+    :class:`ConfigurationError` naming the file and the key."""
     if not args.config:
         return
     parser = configparser.ConfigParser()
-    parser.read(args.config)
     passed = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for section in parser.sections():
-        for key, value in parser[section].items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in passed:
-                current = getattr(args, attr)
-                if isinstance(current, bool):
-                    value = parser[section].getboolean(key)
-                elif isinstance(current, int):
-                    value = int(value)
-                elif isinstance(current, float):
-                    value = float(value)
-                elif isinstance(current, Path) or current is None and attr in ("config", "out"):
-                    value = Path(value)
-                setattr(args, attr, value)
+    where = f"config file {args.config}"
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        for section in parser.sections():
+            for key in parser[section]:
+                where = f"config file {args.config}, [{section}] {key}"
+                value = parser[section][key]
+                attr = key.replace("-", "_")
+                if hasattr(args, attr) and attr not in passed:
+                    current = getattr(args, attr)
+                    if isinstance(current, bool):
+                        value = parser[section].getboolean(key)
+                    elif isinstance(current, int):
+                        value = int(value)
+                    elif isinstance(current, float):
+                        value = float(value)
+                    elif isinstance(current, Path) or current is None and attr in ("config", "out"):
+                        value = Path(value)
+                    setattr(args, attr, value)
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                       seed=args.seed,
-                       freeze_backbone=getattr(args, "freeze_backbone", False))
+                       seed=args.seed)
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -153,7 +161,8 @@ def cmd_finetune(args) -> int:
     manifest = D.load_manifest(args.manifest)
     val = D.load_manifest(args.val_manifest) if args.val_manifest else None
     cfg = _train_config(args)
-    model, history = fine_tune(ckpt, manifest, cfg, val_manifest=val)
+    model, history = fine_tune(ckpt, manifest, cfg, val_manifest=val,
+                               freeze_backbone=args.freeze_backbone)
     args.out.mkdir(parents=True, exist_ok=True)
     out_ckpt = Checkpoint(kind=model.kind, config=model.config.to_dict(),
                           params=snapshot_params(model),
@@ -279,10 +288,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _apply_config_file(args, argv)
     try:
+        _apply_config_file(args, argv)
         return args.fn(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

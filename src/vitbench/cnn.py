@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .tensor import Model, Tensor
 
 CNN_KINDS = ("vgg-mini", "resnet-mini", "mobilenet-mini")
@@ -32,8 +32,13 @@ class CnnConfig:
             raise ConfigurationError(
                 f"unknown cnn kind {self.kind!r}; expected one of {CNN_KINDS}"
             )
-        if any(w <= 0 for w in self.stage_widths) or not self.stage_widths:
-            raise ConfigurationError("stage widths must be positive")
+        for name in ("blocks_per_stage", "num_classes", "image_size", "channels"):
+            check_int(f"CNN {name}", getattr(self, name))
+        if not isinstance(self.stage_widths, list) or not self.stage_widths:
+            raise ConfigurationError(
+                f"stage_widths must be a non-empty list, got {self.stage_widths!r}")
+        for i, w in enumerate(self.stage_widths):
+            check_int(f"stage_widths[{i}]", w)
         if self.image_size % (2 ** len(self.stage_widths)):
             raise ConfigurationError(
                 f"image_size {self.image_size} not divisible by "

@@ -385,9 +385,6 @@ class ImageCache:
         return self._cache[path]
 
 
-_SHARED_CACHE = ImageCache()
-
-
 def make_batches(
     manifest: DatasetManifest,
     batch_size: int,
@@ -397,12 +394,13 @@ def make_batches(
     cache: ImageCache | None = None,
     augment_cfg: AugmentConfig | None = None,
 ) -> list[Batch]:
-    """Deterministic batches; the final partial batch is kept."""
+    """Deterministic batches; the final partial batch is kept.  Without a
+    ``cache`` every image is decoded from disk."""
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
-    cache = cache or _SHARED_CACHE
+    load = cache.get if cache is not None else load_image
     order = np.arange(len(manifest.entries))
     rng = np.random.default_rng([seed, epoch])
     if shuffle:
@@ -414,7 +412,7 @@ def make_batches(
         labels = []
         for i in idxs:
             rel, lab = manifest.entries[i]
-            img = cache.get(manifest.resolve(rel))
+            img = load(manifest.resolve(rel))
             if augment_cfg is not None and augment_cfg.enabled:
                 img = augment(img, augment_cfg, rng)
             imgs.append(img)

@@ -39,3 +39,10 @@ class EmptyDatasetError(ToolkitError):
 
 class TrainingError(ToolkitError):
     """Training diverged or otherwise failed at runtime."""
+
+
+def check_int(name: str, value, minimum: int = 1) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an int (a bool
+    does not count) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")

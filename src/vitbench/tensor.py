@@ -87,31 +87,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the real work lives in the module-level functions
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Model:
     """The protocol every classifier shares with training and transfer.
@@ -211,10 +186,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
         g = scratch.pop(key, None)
         if g is not None:
             t.accumulate_grad(g)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _finish(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -419,14 +390,6 @@ def gelu(a: Tensor) -> Tensor:
         return [(a, g * d)]
 
     return _finish(out, (a,), bw)
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(a)
-    if kind == "gelu":
-        return gelu(a)
-    raise ConfigurationError(f"unknown activation kind {kind!r}")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

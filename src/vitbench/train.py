@@ -3,7 +3,7 @@ workflow, evaluation, and the comparison-report CSV."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,12 +24,23 @@ MODEL_KINDS = ("vit",) + CNN_KINDS
 
 def make_model(kind: str, config: dict, seed: int = 0):
     """The one model factory: ``config`` is a plain dict, and fields it
-    omits take their defaults, so ``{"num_classes": n}`` suits every kind."""
+    omits take their defaults, so ``{"num_classes": n}`` suits every kind.
+    A non-dict config or a key that names no field is a ConfigurationError."""
     if kind == "vit":
-        return ViTClassifier(ViTConfig(**config), seed=seed)
+        return ViTClassifier(_build_config(ViTConfig, config), seed=seed)
     if kind in CNN_KINDS:
-        return CnnModel(CnnConfig(**{**config, "kind": kind}), seed=seed)
+        return CnnModel(_build_config(CnnConfig, config, kind=kind), seed=seed)
     raise ConfigurationError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+
+
+def _build_config(cls, config, **fixed):
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"model config must be a dict, got {type(config).__name__}")
+    names = {f.name for f in fields(cls)}
+    unknown = [k for k in config if k not in names]
+    if unknown:
+        raise ConfigurationError(f"unknown {cls.__name__} keys {unknown}")
+    return cls(**{**config, **fixed})
 
 
 @dataclass
@@ -38,7 +49,6 @@ class TrainConfig:
     batch_size: int = 75
     lr: float = 0.001
     seed: int = 0
-    freeze_backbone: bool = False
     augment: D.AugmentConfig = field(default_factory=D.AugmentConfig)
 
     def __post_init__(self):
@@ -167,22 +177,17 @@ def evaluate(model, manifest: D.DatasetManifest,
     return record, cm
 
 
-def _trainable_params(model, cfg: TrainConfig) -> dict:
-    if cfg.freeze_backbone:
-        return {k: model.params[k] for k in model.head_names()}
-    return dict(model.params)
-
-
 def train(model, train_manifest: D.DatasetManifest,
           val_manifest: D.DatasetManifest | None, cfg: TrainConfig,
           cache: D.ImageCache | None = None,
           stop_at_train_acc: float | None = None) -> list[MetricsRecord]:
     """Epoch loop: shuffled batches, cross-entropy, backward, Adam step,
-    then one validation pass per epoch."""
+    then one validation pass per epoch.  Adam updates exactly the
+    parameters with ``requires_grad``; the rest stay as they are."""
     if not train_manifest.entries:
         raise EmptyDatasetError("training manifest is empty")
     cache = cache or D.ImageCache()
-    opt = Adam(_trainable_params(model, cfg), lr=cfg.lr)
+    opt = Adam({k: p for k, p in model.params.items() if p.requires_grad}, lr=cfg.lr)
     history: list[MetricsRecord] = []
     model.train_mode = True
     try:
@@ -249,8 +254,14 @@ def pretrain(kind: str, model_config: dict,
 
 
 def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,
-              cfg: TrainConfig, val_manifest: D.DatasetManifest | None = None):
-    """Backbone from checkpoint, fresh head sized for the target classes."""
+              cfg: TrainConfig, val_manifest: D.DatasetManifest | None = None,
+              freeze_backbone: bool = False):
+    """Backbone from checkpoint, fresh head sized for the target classes.
+
+    With ``freeze_backbone`` the backbone parameters get
+    ``requires_grad=False``: the tape records only the head and only the
+    head trains.  The returned model keeps that backbone frozen.
+    """
     config = dict(ckpt.config)
     config["num_classes"] = target_manifest.num_classes
     model = make_model(ckpt.kind, config, seed=cfg.seed)
@@ -263,6 +274,9 @@ def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,
             f"checkpoint/config mismatch: missing {missing}, extra {extra}"
         )
     load_params_into(model, ckpt.params, names=backbone)
+    if freeze_backbone:
+        for name in backbone:
+            model.params[name].requires_grad = False
     history = train(model, target_manifest, val_manifest, cfg)
     return model, history
 

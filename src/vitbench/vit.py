@@ -11,12 +11,13 @@ over all B*T rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, check_int
 from .tensor import Model, Tensor
 
 
@@ -33,9 +34,15 @@ class ViTConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if min(self.image_size, self.channels, self.patch_size, self.embed_dim,
-               self.num_heads, self.num_classes) < 1 or self.num_layers < 0:
-            raise ConfigurationError("all ViT config counts must be >= 1")
+        for name in ("image_size", "channels", "patch_size", "embed_dim",
+                     "num_heads", "num_classes"):
+            check_int(f"ViT {name}", getattr(self, name))
+        check_int("ViT num_layers", self.num_layers, minimum=0)
+        if not (_is_real(self.mlp_ratio) and 0.0 < self.mlp_ratio < math.inf):
+            raise ConfigurationError(
+                f"ViT mlp_ratio must be finite and > 0, got {self.mlp_ratio!r}")
+        if not (_is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ConfigurationError(f"ViT dropout must be in [0, 1), got {self.dropout!r}")
         if self.image_size % self.patch_size:
             raise ConfigurationError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -64,6 +71,10 @@ class ViTConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def partition_and_flatten(image: np.ndarray, patch_size: int) -> np.ndarray:

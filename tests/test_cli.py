@@ -3,6 +3,7 @@ import pytest
 
 from vitbench import cli
 from vitbench import data as D
+from vitbench.checkpoint import Checkpoint, save_checkpoint
 from vitbench.cli import build_parser, main
 from vitbench.train import MetricsRecord
 
@@ -114,6 +115,57 @@ class TestWorkflow:
                         tmp_path / "d" / "d.manifest"])
             assert code == 1
             assert "error:" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    """Every bad input exits 1 with an ``error:`` line, never a traceback."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return D.generate_synthetic(tmp_path / "d", "d", 2, 2, seed=1)
+
+    def expect_error(self, argv, capsys, *needles):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), err
+        for needle in needles:
+            assert needle in err
+
+    def test_evaluate_missing_checkpoint(self, tmp_path, manifest, capsys):
+        self.expect_error(["evaluate", tmp_path / "missing.ckpt", manifest], capsys,
+                          "missing.ckpt")
+
+    def test_evaluate_missing_manifest(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config={"num_classes": 2},
+                                   params={"a": np.zeros(1)}), ckpt)
+        self.expect_error(["evaluate", ckpt, tmp_path / "missing.manifest"], capsys,
+                          "missing.manifest")
+
+    def test_evaluate_checkpoint_with_unknown_config_key(self, tmp_path, manifest, capsys):
+        ckpt = tmp_path / "bogus.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config={"bogus": 1},
+                                   params={"a": np.zeros(1)}), ckpt)
+        self.expect_error(["evaluate", ckpt, manifest], capsys, "bogus")
+
+    def test_pretrain_on_a_directory(self, tmp_path, capsys):
+        self.expect_error(["pretrain", tmp_path, "--epochs", "1"], capsys)
+
+    def test_config_without_section_header(self, tmp_path, manifest, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 3\n")
+        self.expect_error(["pretrain", manifest, "--config", cfg], capsys, "run.cfg")
+
+    def test_config_value_of_wrong_type(self, tmp_path, manifest, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[train]\nepochs = x\n")
+        self.expect_error(["pretrain", manifest, "--config", cfg], capsys,
+                          "run.cfg", "epochs")
+
+    def test_missing_config_file(self, tmp_path, manifest, capsys):
+        self.expect_error(["pretrain", manifest, "--config", tmp_path / "typo.cfg",
+                           "--epochs", "1", "--out", tmp_path / "out"], capsys, "typo.cfg")
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompare:

@@ -313,6 +313,22 @@ class TestBatches:
         assert all(np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
         assert any(not np.array_equal(x.labels, y.labels) for x, y in zip(a, c))
 
+    def test_uncached_batches_see_a_rewritten_image(self, tmp_path):
+        manifest = self.make_disk_manifest(tmp_path, 1)
+        before = D.make_batches(manifest, 1, shuffle=False)[0].images[0]
+        (tmp_path / "b0.ppm").write_bytes(D.encode_ppm(1.0 - before))
+        after = D.make_batches(manifest, 1, shuffle=False)[0].images[0]
+        assert np.array_equal(after, D.decode_image(D.encode_ppm(1.0 - before), "ppm"))
+        assert not np.array_equal(after, before)
+
+    def test_cache_serves_the_first_decode(self, tmp_path):
+        manifest = self.make_disk_manifest(tmp_path, 1)
+        cache = D.ImageCache()
+        before = D.make_batches(manifest, 1, shuffle=False, cache=cache)[0].images[0]
+        (tmp_path / "b0.ppm").write_bytes(D.encode_ppm(1.0 - before))
+        again = D.make_batches(manifest, 1, shuffle=False, cache=cache)[0].images[0]
+        assert np.array_equal(again, before)
+
     def test_empty_manifest(self):
         manifest = in_memory_manifest([])
         with pytest.raises(EmptyDatasetError):

@@ -1,6 +1,9 @@
 """Property tests: every decoder either decodes its input or raises a
 typed ``ToolkitError``, for arbitrary bytes and for mutated valid
-encodings alike."""
+encodings alike; the model factory either builds a model from a config
+or raises one."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +12,11 @@ from hypothesis import strategies as st
 
 from vitbench import data as D
 from vitbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from vitbench.cnn import CnnConfig
 from vitbench.errors import ToolkitError
 from vitbench.tensor import tnsr_decode, tnsr_encode
+from vitbench.train import MODEL_KINDS, make_model
+from vitbench.vit import ViTConfig
 
 _IMAGE = np.linspace(0.0, 1.0, 12).reshape(3, 2, 2)
 _VALID_IMAGES = {
@@ -137,3 +143,32 @@ class TestLoadCheckpoint:
     @given(data=st.data())
     def test_mutated_encoding(self, ckpt_path, valid_ckpt, data):
         self._load(ckpt_path, data.draw(mutations(valid_ckpt)))
+
+
+# config keys are real field names or junk; values stay small (ints up to
+# 64, lists of up to three) so whatever builds allocates little
+_CONFIG_KEYS = st.sampled_from(sorted(
+    {f.name for f in fields(ViTConfig)} | {f.name for f in fields(CnnConfig)}
+    | {"bogus", "", "Num_Classes"}))
+_CONFIG_VALUES = st.one_of(
+    st.integers(-2, 64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 0.5, 1.0, 2.0]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(-2, 64), max_size=3),
+)
+_CONFIGS = st.one_of(
+    st.dictionaries(_CONFIG_KEYS, _CONFIG_VALUES, max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.none(),
+    st.text(max_size=4),
+)
+
+
+class TestMakeModel:
+    @given(kind=st.sampled_from(MODEL_KINDS), config=_CONFIGS)
+    def test_builds_or_raises_typed_error(self, kind, config):
+        model = _decode_or_typed_error(lambda c: make_model(kind, c), config)
+        if model is not None:
+            assert model.kind == kind

@@ -360,7 +360,7 @@ class TestLayerNorm:
 
 class TestActivations:
     def test_relu_definition(self):
-        y = T.activation(Tensor([-1.0, 2.0]), "relu")
+        y = T.relu(Tensor([-1.0, 2.0]))
         assert np.array_equal(y.data, [0.0, 2.0])
 
     def test_gelu_zero(self):
@@ -372,10 +372,6 @@ class TestActivations:
         w = rng.random(20)
         err = gradcheck(lambda: T.tsum(T.mul(T.gelu(x), Tensor(w))), [x], eps=1e-4)
         assert err < 1e-4
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            T.activation(Tensor([1.0]), "swish")
 
 
 class TestCrossEntropy:

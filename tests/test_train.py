@@ -6,6 +6,7 @@ import pytest
 from vitbench import checkpoint
 from vitbench import data as D
 from vitbench import tensor as T
+from vitbench import train as train_module
 from vitbench.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -315,13 +316,68 @@ class TestTransferWorkflow:
     def test_freeze_backbone_contract(self, tiny_task):
         ckpt = pretrain("vit", ViTConfig(num_classes=3).to_dict(), tiny_task,
                         TrainConfig(epochs=1, batch_size=8, seed=0))
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=1, freeze_backbone=True)
-        model, _ = fine_tune(ckpt, tiny_task, cfg)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=1)
+        model, _ = fine_tune(ckpt, tiny_task, cfg, freeze_backbone=True)
         for name in model.backbone_names():
             assert np.array_equal(model.params[name].data, ckpt.params[name]), name
         # the head must actually have moved
         assert not np.array_equal(model.params["head.w"].data,
                                   np.zeros_like(model.params["head.w"].data))
+
+    @pytest.mark.parametrize("kind", ["vit", "resnet-mini"])
+    def test_frozen_step_tapes_only_the_head(self, kind, tiny_task, monkeypatch):
+        ckpt = pretrain(kind, {"num_classes": 3}, tiny_task,
+                        TrainConfig(epochs=1, batch_size=8, seed=0))
+        lengths = []
+        real_backward = train_module.backward
+
+        def recording_backward(loss, tape):
+            lengths.append(len(tape))
+            real_backward(loss, tape)
+
+        monkeypatch.setattr(train_module, "backward", recording_backward)
+        model, _ = fine_tune(ckpt, tiny_task, TrainConfig(epochs=2, batch_size=8, seed=1),
+                             freeze_backbone=True)
+        # head matmul, bias add, cross-entropy; no backbone op is recorded
+        assert lengths and set(lengths) == {3}
+        for name in model.backbone_names():
+            assert not model.params[name].requires_grad, name
+            assert model.params[name].grad is None, name
+        for name in model.head_names():
+            assert model.params[name].grad is not None, name
+
+
+class TestMakeModel:
+    @pytest.mark.parametrize("kind,config", [
+        ("vit", [1]),
+        ("vgg-mini", None),
+        ("vit", {"bogus": 1}),
+        ("resnet-mini", {"num_classes": 2, "depth": 3}),
+        ("vit", {"embed_dim": "x"}),
+        ("vit", {"num_heads": True}),
+        ("vit", {"num_layers": -1}),
+        ("vit", {"mlp_ratio": -1.0}),
+        ("vit", {"mlp_ratio": float("nan")}),
+        ("vit", {"mlp_ratio": float("inf")}),
+        ("vit", {"dropout": 1.0}),
+        ("vit", {"dropout": -0.1}),
+        ("vit", {"dropout": "0.1"}),
+        ("resnet-mini", {"stage_widths": 5}),
+        ("resnet-mini", {"stage_widths": []}),
+        ("resnet-mini", {"stage_widths": [4, 0]}),
+        ("mobilenet-mini", {"stage_widths": [4, 8.0]}),
+        ("vgg-mini", {"channels": 0}),
+        ("vgg-mini", {"blocks_per_stage": -1}),
+        ("vgg-mini", {"num_classes": 0}),
+        ("vgg-mini", {"image_size": 32.0}),
+    ])
+    def test_bad_config_is_configuration_error(self, kind, config):
+        with pytest.raises(ConfigurationError):
+            make_model(kind, config)
+
+    def test_unknown_keys_are_named(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            make_model("vit", {"num_classes": 2, "bogus": 1})
 
 
 def _relabel(manifest, num_classes):
