@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from pathlib import Path
@@ -45,7 +46,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _apply_config_file(args: argparse.Namespace, argv: list) -> None:
     """File values fill in flags the user did not pass on the command line.
-    A missing file is an ``OSError``; an unparsable file or value is a
+    ``argv`` names each passed flag in full, since :func:`build_parser`
+    refuses abbreviations.  A missing file is an ``OSError``; an unparsable file or value is a
     :class:`ConfigurationError` naming the file and the key."""
     if not args.config:
         return
@@ -111,15 +113,16 @@ def cmd_split(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
+    # finite differences need float64 whatever the model default
     if args.model == "vit":
-        model = make_model("vit", {"num_classes": 3}, seed=args.seed)
+        model = make_model("vit", {"num_classes": 3, "dtype": "float64"}, seed=args.seed)
         cfg = model.config
         image = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
         eps = 1e-4
     else:
         model = make_model(args.model, {
             "stage_widths": [4, 8], "blocks_per_stage": 1,
-            "num_classes": 3, "image_size": 8, "channels": 3,
+            "num_classes": 3, "image_size": 8, "channels": 3, "dtype": "float64",
         }, seed=args.seed)
         image = rng.random((3, 8, 8))
         # relu models: check at a generic point so no preactivation sits
@@ -135,7 +138,7 @@ def cmd_gradcheck(args) -> int:
         return T.cross_entropy(logits, label)
 
     err = T.finite_diff_gradcheck(
-        f, model.params.values(), eps=eps,
+        f, model.params, eps=eps,
         max_entries_per_param=args.entries_per_param, rng=rng,
     )
     print(f"max_rel_err={err:.3e}")
@@ -217,13 +220,17 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated long options: _apply_config_file tells a passed flag
+    # from a file value by the flag's full name
     parser = argparse.ArgumentParser(
         prog="vitbench",
         description="Desk-scale ViT/CNN classification benchmark toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic PPM dataset")
+    p = command("gen-synthetic", help="generate a synthetic PPM dataset")
     p.add_argument("--name", default="synth", help="dataset name")
     p.add_argument("--classes", type=int, default=3, help="number of classes")
     p.add_argument("--per-class", type=int, default=50, help="images per class")
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_gen_synthetic)
 
-    p = sub.add_parser("split", help="split a manifest into train/val/test")
+    p = command("split", help="split a manifest into train/val/test")
     p.add_argument("manifest", type=Path)
     p.add_argument("--train-ratio", type=float, default=0.8)
     p.add_argument("--val-ratio", type=float, default=0.1)
@@ -243,20 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
+    p = command("gradcheck", help="finite-difference gradient check")
     p.add_argument("--model", choices=MODEL_KINDS, default="vit")
     p.add_argument("--entries-per-param", type=int, default=4,
                    help="sampled entries per parameter tensor")
     _add_common(p)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("pretrain", help="train from scratch on a surrogate task")
+    p = command("pretrain", help="train from scratch on a surrogate task")
     p.add_argument("manifest", type=Path)
     p.add_argument("--model", choices=MODEL_KINDS, default="vit")
     _add_common(p)
     p.set_defaults(fn=cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="fine-tune a checkpoint on a target task")
+    p = command("finetune", help="fine-tune a checkpoint on a target task")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("manifest", type=Path)
     p.add_argument("--val-manifest", type=Path)
@@ -265,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a manifest")
+    p = command("evaluate", help="evaluate a checkpoint on a manifest")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("manifest", type=Path)
     p.add_argument("--split", default="test")
     _add_common(p)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="model x dataset grid -> comparison CSV")
+    p = command("compare", help="model x dataset grid -> comparison CSV")
     p.add_argument("manifests", type=Path, nargs="+")
     p.add_argument("--models", help="comma-separated kinds (default: all)")
     _add_common(p)

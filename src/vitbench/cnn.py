@@ -26,6 +26,7 @@ class CnnConfig:
     num_classes: int = 3
     image_size: int = 32
     channels: int = 3
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.kind not in CNN_KINDS:
@@ -39,6 +40,7 @@ class CnnConfig:
                 f"stage_widths must be a non-empty list, got {self.stage_widths!r}")
         for i, w in enumerate(self.stage_widths):
             check_int(f"stage_widths[{i}]", w)
+        T.check_dtype("CNN", self.dtype)
         if self.image_size % (2 ** len(self.stage_widths)):
             raise ConfigurationError(
                 f"image_size {self.image_size} not divisible by "
@@ -79,7 +81,11 @@ def depthwise_separable(x: Tensor, params: dict, stride: int = 1) -> Tensor:
 
 
 class CnnModel(Model):
-    """A built CNN with named parameters and a batched forward pass."""
+    """A built CNN with named parameters and a batched forward pass.
+
+    Parameters are drawn in float64, then cast to ``config.dtype``, the
+    dtype the model computes in.
+    """
 
     def __init__(self, config: CnnConfig, seed: int = 0):
         self.config = config
@@ -96,10 +102,11 @@ class CnnModel(Model):
                 sigma = np.sqrt(2.0 / fan_in)
             else:
                 sigma = 0.02
-            return Tensor(rng.normal(0.0, sigma, size=shape), requires_grad=True)
+            return Tensor(rng.normal(0.0, sigma, size=shape).astype(config.dtype),
+                          requires_grad=True)
 
         def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
+            return Tensor(np.zeros(shape, config.dtype), requires_grad=True)
 
         p = self.params
         widths = config.stage_widths
@@ -154,7 +161,7 @@ class CnnModel(Model):
 
     def forward_batch(self, images: np.ndarray) -> Tensor:
         cfg = self.config
-        x = Tensor(np.asarray(images))
+        x = Tensor(np.asarray(images, cfg.dtype))
         p = self.params
         nb = cfg.blocks_per_stage
         if cfg.kind == "vgg-mini":

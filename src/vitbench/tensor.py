@@ -7,6 +7,11 @@ gradients additively into the participating tensors.
 
 Forward operations never mutate their inputs.  When strict mode is enabled
 (see :func:`set_strict`) every operation checks its output for NaN/Inf.
+
+Precision follows the data: a tensor keeps float32 or float64 values as
+given, every op computes in its inputs' dtype, and the constants an op
+makes take its operand's dtype, so a float32 model stays float32 forward
+and backward.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .errors import (
     LabelError,
 )
 
-DTYPE = np.float64
+# the compute dtypes a model config may name
+DTYPES = ("float32", "float64")
 
 # tanh-approximation GELU constant sqrt(2/pi); documented so independent
 # implementations agree bit-for-bit per dtype
@@ -35,6 +41,13 @@ GELU_A = 0.044715
 
 _STRICT = False
 _ACTIVE_TAPE: Optional["Tape"] = None
+
+
+def check_dtype(owner: str, value) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` names one of
+    :data:`DTYPES`."""
+    if not isinstance(value, str) or value not in DTYPES:
+        raise ConfigurationError(f"{owner} dtype must be one of {DTYPES}, got {value!r}")
 
 
 def set_strict(flag: bool) -> None:
@@ -49,7 +62,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        # float32/float64 keep their precision; ints, bools and Python
+        # scalars become float64
+        if data.dtype != np.float32 and data.dtype != np.float64:
+            data = data.astype(np.float64)
+        self.data = data
         self.requires_grad = requires_grad
         self._grad: Optional[np.ndarray] = None
 
@@ -441,7 +459,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p <= 0.0:
         return a
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return mul(a, Tensor(mask))
+    return mul(a, Tensor(mask.astype(a.data.dtype, copy=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +488,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = logits.data
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    loss_val = float(np.mean(lse - z[np.arange(n), labels]))
-    out = Tensor(loss_val)
+    out = Tensor(np.mean(lse - z[np.arange(n), labels]))
     probs = np.exp(z - lse[:, None])
 
     def bw(g):
@@ -591,12 +608,12 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
     def bw(g):
         masks = [x.data[s] == y for s in slices]
         # split the gradient among ties so the sum is preserved
-        count = masks[0].astype(np.intp)
+        count = masks[0].astype(g.dtype)
         for m in masks[1:]:
             count += m
         share = g / count
         # the taps tile x, so every element of dx is written exactly once
-        dx = np.empty(x.shape)
+        dx = np.empty_like(x.data)
         for s, m in zip(slices, masks):
             np.multiply(m, share, out=dx[s])
         return [(x, dx)]
@@ -607,7 +624,7 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     """B x C x H x W -> B x C spatial mean."""
     b, c, h, w = x.shape
-    return mul(tsum(tsum(x, axis=3), axis=2), Tensor(1.0 / (h * w)))
+    return mul(tsum(tsum(x, axis=3), axis=2), Tensor(np.array(1.0 / (h * w), x.data.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +641,19 @@ def finite_diff_gradcheck(
     """Max relative error between tape gradients and central differences.
 
     ``f`` must be a deterministic zero-argument closure over ``params``
-    returning a scalar Tensor.  When ``max_entries_per_param`` is given,
-    that many entries per parameter are sampled (seeded via ``rng``)
-    instead of sweeping every entry.
+    (tensors, or a dict of named tensors) returning a scalar Tensor.  When
+    ``max_entries_per_param`` is given, that many entries per parameter are
+    sampled (seeded via ``rng``) instead of sweeping every entry.  Every
+    parameter must be float64: float32 rounding swamps a central difference.
     """
     if not 0.0 < eps <= 1e-2:
         raise ConfigurationError(f"eps {eps} outside (0, 1e-2]")
-    params = list(params)
+    named = params.items() if isinstance(params, dict) else enumerate(params)
+    for name, p in named:
+        if p.data.dtype != np.float64:
+            raise ContractError(
+                f"gradcheck parameter {name!r} is {p.data.dtype}; it needs float64")
+    params = list(params.values() if isinstance(params, dict) else params)
     for p in params:
         p.zero_grad()
     with Tape() as tape:

@@ -25,12 +25,21 @@ MODEL_KINDS = ("vit",) + CNN_KINDS
 def make_model(kind: str, config: dict, seed: int = 0):
     """The one model factory: ``config`` is a plain dict, and fields it
     omits take their defaults, so ``{"num_classes": n}`` suits every kind.
-    A non-dict config or a key that names no field is a ConfigurationError."""
+    A non-dict config, a key that names no field, or extents too large to
+    allocate is a ConfigurationError."""
     if kind == "vit":
-        return ViTClassifier(_build_config(ViTConfig, config), seed=seed)
-    if kind in CNN_KINDS:
-        return CnnModel(_build_config(CnnConfig, config, kind=kind), seed=seed)
-    raise ConfigurationError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        cls, cfg = ViTClassifier, _build_config(ViTConfig, config)
+    elif kind in CNN_KINDS:
+        cls, cfg = CnnModel, _build_config(CnnConfig, config, kind=kind)
+    else:
+        raise ConfigurationError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    try:
+        return cls(cfg, seed=seed)
+    # numpy refuses an oversized array with MemoryError, or with ValueError
+    # when an extent passes its dimension limit
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cannot allocate a {kind} model for config {config}: {exc}") from exc
 
 
 def _build_config(cls, config, **fixed):

@@ -32,6 +32,7 @@ class ViTConfig:
     mlp_ratio: float = 2.0
     num_classes: int = 3
     dropout: float = 0.0
+    dtype: str = "float32"
 
     def __post_init__(self):
         for name in ("image_size", "channels", "patch_size", "embed_dim",
@@ -43,6 +44,7 @@ class ViTConfig:
                 f"ViT mlp_ratio must be finite and > 0, got {self.mlp_ratio!r}")
         if not (_is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigurationError(f"ViT dropout must be in [0, 1), got {self.dropout!r}")
+        T.check_dtype("ViT", self.dtype)
         if self.image_size % self.patch_size:
             raise ConfigurationError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
@@ -122,7 +124,7 @@ def add_positional(embeddings: Tensor, cls_token: Tensor, pos_table: Tensor) -> 
             f"positional table has {pos_table.shape[0]} rows, expected {n + 1}"
         )
     # adding the class token to zeros broadcasts it over the leading dims
-    cls = T.add(Tensor(np.zeros((*lead, 1, d))), cls_token)
+    cls = T.add(Tensor(np.zeros((*lead, 1, d), embeddings.data.dtype)), cls_token)
     seq = T.concat([cls, embeddings], axis=-2)
     return T.add(seq, pos_table)
 
@@ -151,7 +153,7 @@ def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights:
     q = project("q", heads_first)
     k_t = project("k", (*range(n), n + 1, n + 2, n))
     v = project("v", heads_first)
-    scores = T.mul(T.bmm(q, k_t), Tensor(1.0 / np.sqrt(dh)))
+    scores = T.mul(T.bmm(q, k_t), Tensor(np.array(1.0 / np.sqrt(dh), x.data.dtype)))
     a = T.softmax(scores, axis=-1)
     heads = T.reshape(T.transpose(T.bmm(a, v), heads_first), (-1, d))
     out = T.add(T.matmul(heads, block["attn.wo"]), block["attn.bo"])
@@ -173,7 +175,8 @@ class ViTClassifier(Model):
     """Patch embedder + positional table + encoder blocks + linear head.
 
     Parameters live in ``self.params`` keyed by dotted names; the name set
-    is a deterministic function of the config.
+    is a deterministic function of the config.  They are drawn in float64,
+    then cast to ``config.dtype``, the dtype the model computes in.
     """
 
     kind = "vit"
@@ -186,13 +189,14 @@ class ViTClassifier(Model):
         d = config.embed_dim
 
         def normal(*shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True)
+            return Tensor(rng.normal(0.0, 0.02, size=shape).astype(config.dtype),
+                          requires_grad=True)
 
         def zeros(*shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
+            return Tensor(np.zeros(shape, config.dtype), requires_grad=True)
 
         def ones(*shape):
-            return Tensor(np.ones(shape), requires_grad=True)
+            return Tensor(np.ones(shape, config.dtype), requires_grad=True)
 
         p = self.params
         p["patch_proj.w"] = normal(config.patch_dim, d)
@@ -249,7 +253,7 @@ class ViTClassifier(Model):
     def forward_batch(self, images: np.ndarray) -> Tensor:
         """B x C x H x W batch -> B x num_classes logits, in one batched pass."""
         cfg = self.config
-        images = np.asarray(images)
+        images = np.asarray(images, cfg.dtype)
         if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
             raise ConfigurationError(
                 f"image batch shape {images.shape} does not match config "

@@ -21,6 +21,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def backward_grad_dtypes(loss, tape) -> set:
+    """Run ``backward(loss, tape)`` and return the dtypes of every gradient
+    the tape's entries hand back, intermediates included (a leaf's ``+=``
+    would hide an upcast in its own buffer)."""
+    seen = set()
+    for entry in tape._entries:
+        def recording(g, fn=entry.backward_fn):
+            grads = fn(g)
+            seen.update(x.dtype for _, x in grads if x is not None)
+            return grads
+        entry.backward_fn = recording
+    T.backward(loss, tape)
+    return seen
+
+
 @pytest.fixture(autouse=True, scope="session")
 def strict_mode():
     # finiteness checking on for the whole suite

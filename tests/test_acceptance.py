@@ -81,7 +81,7 @@ class TestGradientCheckSuite:
         worst = 0.0
         rng = np.random.default_rng(0)
 
-        vit = ViTClassifier(ViTConfig(num_classes=3), seed=0)
+        vit = ViTClassifier(ViTConfig(num_classes=3, dtype="float64"), seed=0)
         image = rng.random((3, 32, 32))
         label = np.array([1])
 
@@ -93,7 +93,7 @@ class TestGradientCheckSuite:
             max_entries_per_param=4, rng=np.random.default_rng(1)))
 
         for kind in ("vgg-mini", "resnet-mini", "mobilenet-mini"):
-            model = CnnModel(CnnConfig(kind=kind, **CNN_TINY), seed=0)
+            model = CnnModel(CnnConfig(kind=kind, **CNN_TINY, dtype="float64"), seed=0)
             # check at a generic point: jitter away from exact-zero biases
             # so no relu preactivation sits on its kink
             jr = np.random.default_rng(100)
@@ -152,7 +152,7 @@ class TestAttentionSoftmaxInvariants:
             worst_sum = max(worst_sum, float(np.max(np.abs(sums - 1.0))))
             slice_count += rows
 
-        model = ViTClassifier(ViTConfig(num_classes=3), seed=3)
+        model = ViTClassifier(ViTConfig(num_classes=3, dtype="float64"), seed=3)
         blk = model.block_params(0)
         for p in blk.values():
             p.data = rng.normal(0, 0.2, p.data.shape)

@@ -3,7 +3,7 @@ import pytest
 
 from vitbench import cli
 from vitbench import data as D
-from vitbench.checkpoint import Checkpoint, save_checkpoint
+from vitbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from vitbench.cli import build_parser, main
 from vitbench.train import MetricsRecord
 
@@ -89,7 +89,9 @@ class TestWorkflow:
                     "--out", tmp_path / "ckpt", "--seed", "0"])
         assert code == 0
         ckpt = tmp_path / "ckpt" / f"{kind}_src.ckpt"
-        assert ckpt.exists()
+        saved = load_checkpoint(ckpt)
+        assert saved.config["dtype"] == "float32"
+        assert all(p.dtype == np.float32 for p in saved.params.values())
 
         code = run(["evaluate", ckpt, tmp_path / "src" / "src.manifest"])
         assert code == 0
@@ -148,6 +150,16 @@ class TestBadInputs:
                                    params={"a": np.zeros(1)}), ckpt)
         self.expect_error(["evaluate", ckpt, manifest], capsys, "bogus")
 
+    @pytest.mark.parametrize("config", [
+        {"mlp_ratio": 1e300},
+        {"embed_dim": 2**40, "num_heads": 1},
+    ])
+    def test_evaluate_checkpoint_too_large_to_build(self, tmp_path, manifest, capsys, config):
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config=config,
+                                   params={"a": np.zeros(1)}), ckpt)
+        self.expect_error(["evaluate", ckpt, manifest], capsys, "vit model for config")
+
     def test_pretrain_on_a_directory(self, tmp_path, capsys):
         self.expect_error(["pretrain", tmp_path, "--epochs", "1"], capsys)
 
@@ -196,3 +208,14 @@ class TestConfigFile:
         _apply_config_file(args, ["--config", str(cfg), "--batch-size=16"])
         assert args.epochs == 3        # from file
         assert args.batch_size == 16   # flag wins
+
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys):
+        # an abbreviation would parse, then lose to the file's value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[train]\nepochs = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["pretrain", "x.manifest", "--config", str(cfg),
+                                       "--epoch", "7"])
+        assert exc.value.code == 2
+        assert run(["pretrain", "x.manifest", "--config", cfg, "--epoch", "7"]) == 2
+        assert "--epoch" in capsys.readouterr().err

@@ -211,8 +211,7 @@ class TestZeroWeightReduction:
 class TestEndToEndGradcheck:
     @pytest.mark.parametrize("kind", ["vgg-mini", "resnet-mini", "mobilenet-mini"])
     def test_tiny_config(self, kind):
-        cfg = dict(TINY)
-        model = CnnModel(CnnConfig(kind=kind, **cfg), seed=0)
+        model = CnnModel(CnnConfig(kind=kind, **TINY, dtype="float64"), seed=0)
         # gradcheck at a generic point: jitter away from exact-zero biases
         # so no relu preactivation sits on its kink
         jr = np.random.default_rng(100)

@@ -155,6 +155,7 @@ _CONFIG_VALUES = st.one_of(
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 0.5, 1.0, 2.0]),
     st.booleans(),
     st.text(max_size=4),
+    st.sampled_from(["float32", "float64", "float16"]),
     st.none(),
     st.lists(st.integers(-2, 64), max_size=3),
 )

@@ -16,6 +16,8 @@ from vitbench.errors import (
 )
 from vitbench.tensor import Tape, Tensor, backward
 
+from conftest import backward_grad_dtypes
+
 
 def gradcheck(f, params, eps=1e-5, **kw):
     return T.finite_diff_gradcheck(f, params, eps=eps, **kw)
@@ -542,3 +544,78 @@ class TestTnsr:
                 + struct.pack(f"<{len(shape)}Q", *shape) + bytes(8 * count))
         with pytest.raises(FormatError, match="not representable"):
             T.tnsr_decode(data)
+
+
+# every public op, built from float32 leaves made by ``x(*shape)``
+_FLOAT32_CASES = {
+    "add": lambda x: T.add(x(2, 3), x(3)),
+    "sub": lambda x: T.sub(x(2, 3), x(2, 1)),
+    "mul": lambda x: T.mul(x(2, 3), x(1, 3)),
+    "pow_scalar": lambda x: T.pow_scalar(x(2, 3), 3.0),
+    "reshape": lambda x: T.reshape(x(2, 3), (3, 2)),
+    "transpose": lambda x: T.transpose(x(2, 3, 4), (2, 0, 1)),
+    "slice_axis": lambda x: T.slice_axis(x(2, 5), 1, 1, 4),
+    "concat": lambda x: T.concat([x(2, 3), x(1, 3)], axis=0),
+    "stack": lambda x: T.stack([x(2, 3), x(2, 3)], axis=1),
+    "tsum": lambda x: T.tsum(x(2, 3, 4), axis=1),
+    "matmul": lambda x: T.matmul(x(2, 3), x(3, 4)),
+    "bmm": lambda x: T.bmm(x(2, 3, 4), x(2, 4, 5)),
+    "relu": lambda x: T.relu(x(3, 4)),
+    "gelu": lambda x: T.gelu(x(3, 4)),
+    "softmax": lambda x: T.softmax(x(3, 5), axis=-1),
+    "layer_norm": lambda x: T.layer_norm(x(2, 3, 4), x(4), x(4)),
+    "dropout": lambda x: T.dropout(x(4, 8), 0.5, np.random.default_rng(0)),
+    "cross_entropy": lambda x: T.cross_entropy(x(3, 4), [0, 3, 1]),
+    "conv2d": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 4, 3, 3), padding=1),
+    "conv2d_groups_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 2, 3, 3), padding=1, groups=2),
+    "conv2d_depthwise": lambda x: T.conv2d(x(2, 4, 6, 6), x(4, 1, 3, 3), stride=2,
+                                           padding=1, groups=4),
+    "max_pool2d": lambda x: T.max_pool2d(x(2, 3, 4, 4), 2),
+    "global_avg_pool": lambda x: T.global_avg_pool(x(2, 3, 4, 4)),
+}
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("op", sorted(_FLOAT32_CASES))
+    def test_op_keeps_float32_forward_and_backward(self, op):
+        rng = np.random.default_rng(0)
+        leaves = []
+
+        def x(*shape):
+            leaves.append(Tensor(rng.normal(size=shape).astype(np.float32),
+                                 requires_grad=True))
+            return leaves[-1]
+
+        with Tape() as tape:
+            out = _FLOAT32_CASES[op](x)
+            loss = T.tsum(out)
+        assert out.data.dtype == np.float32
+        assert loss.data.dtype == np.float32
+        assert backward_grad_dtypes(loss, tape) == {np.dtype(np.float32)}
+        assert all(t.grad.dtype == np.float32 for t in leaves)
+
+    def test_tied_max_pool_gradient_stays_float32(self):
+        x = Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = T.tsum(T.max_pool2d(x, 2))
+        assert backward_grad_dtypes(loss, tape) == {np.dtype(np.float32)}
+        assert np.array_equal(x.grad, np.full((1, 1, 2, 2), 0.25, np.float32))
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.ones(2, np.float32), np.float32),
+        (np.ones(2), np.float64),
+        (np.float32(2.0), np.float32),
+        (np.arange(3), np.float64),
+        (np.array([True]), np.float64),
+        (1.5, np.float64),
+        (3, np.float64),
+    ])
+    def test_tensor_keeps_float_dtypes_and_promotes_the_rest(self, value, dtype):
+        assert Tensor(value).data.dtype == dtype
+
+    def test_gradcheck_refuses_float32_parameters_by_name(self):
+        w = Tensor(np.ones(2, np.float32), requires_grad=True)
+        with pytest.raises(ContractError, match="'w'.*float32"):
+            T.finite_diff_gradcheck(lambda: T.tsum(w), {"w": w})
+        with pytest.raises(ContractError, match="float32"):
+            T.finite_diff_gradcheck(lambda: T.tsum(w), [w])

@@ -38,6 +38,8 @@ from vitbench.train import (
 )
 from vitbench.vit import ViTConfig
 
+from conftest import backward_grad_dtypes
+
 
 @pytest.fixture
 def tiny_task(tmp_path):
@@ -285,6 +287,53 @@ class TestCheckpoint:
             load_params_into(other, snapshot_params(model))
 
 
+class TestDtype:
+    @pytest.mark.parametrize("kind", train_module.MODEL_KINDS)
+    def test_default_model_trains_in_float32(self, kind):
+        config = {"dropout": 0.1} if kind == "vit" else {}
+        model = make_model(kind, config, seed=0)
+        assert model.config.to_dict()["dtype"] == "float32"
+        model.train_mode = True
+        # float64 images, as the decoders produce them
+        images = np.random.default_rng(1).random((4, 3, 32, 32))
+        with T.Tape() as tape:
+            logits = model.forward_batch(images)
+            loss = T.cross_entropy(logits, np.array([0, 1, 2, 1]))
+        assert logits.data.dtype == np.float32
+        assert all(e.output.data.dtype == np.float32 for e in tape._entries)
+        assert backward_grad_dtypes(loss, tape) == {np.dtype(np.float32)}
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float32 and p.grad.dtype == np.float32, name
+
+    @pytest.mark.parametrize("saved, loaded", [("float64", "float32"),
+                                               ("float32", "float64")])
+    def test_checkpoint_loads_into_the_other_dtype(self, saved, loaded, tmp_path):
+        model = make_model("resnet-mini", {"num_classes": 2, "dtype": saved}, seed=5)
+        ckpt = Checkpoint(kind="resnet-mini", config=model.config.to_dict(),
+                          params=snapshot_params(model))
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        params = load_checkpoint(tmp_path / "m.ckpt").params
+        target = make_model("resnet-mini", {"num_classes": 2, "dtype": loaded}, seed=6)
+        load_params_into(target, params)
+        for name, p in target.params.items():
+            assert params[name].dtype == saved
+            assert p.data.dtype == loaded
+            assert np.array_equal(p.data, params[name].astype(loaded)), name
+
+    def test_checkpoint_without_dtype_builds_a_float32_model(self, tmp_path):
+        config = ViTConfig(num_classes=3, dtype="float64").to_dict()
+        model = make_model("vit", config, seed=0)
+        del config["dtype"]
+        ckpt = Checkpoint(kind="vit", config=config, params=snapshot_params(model))
+        save_checkpoint(ckpt, tmp_path / "old.ckpt")
+        loaded = load_checkpoint(tmp_path / "old.ckpt")
+        target = make_model(loaded.kind, loaded.config)
+        load_params_into(target, loaded.params)
+        for name, p in target.params.items():
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, model.params[name].data.astype(np.float32)), name
+
+
 class TestTransferWorkflow:
     def test_pretrain_checkpoint_matches_model(self, tiny_task, tmp_path):
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0)
@@ -370,10 +419,24 @@ class TestMakeModel:
         ("vgg-mini", {"blocks_per_stage": -1}),
         ("vgg-mini", {"num_classes": 0}),
         ("vgg-mini", {"image_size": 32.0}),
+        ("vit", {"dtype": "float16"}),
+        ("vit", {"dtype": 1}),
+        ("vgg-mini", {"dtype": "float16"}),
+        ("resnet-mini", {"dtype": None}),
     ])
     def test_bad_config_is_configuration_error(self, kind, config):
         with pytest.raises(ConfigurationError):
             make_model(kind, config)
+
+    # numpy refuses both at once: the first passes its dimension limit,
+    # the second asks for 1.5 PiB, beyond the address space
+    @pytest.mark.parametrize("config", [
+        {"mlp_ratio": 1e300},
+        {"embed_dim": 2**40, "num_heads": 1},
+    ])
+    def test_unallocatable_config_is_configuration_error(self, config):
+        with pytest.raises(ConfigurationError, match="vit model for config"):
+            make_model("vit", config)
 
     def test_unknown_keys_are_named(self):
         with pytest.raises(ConfigurationError, match="bogus"):

@@ -258,7 +258,7 @@ class TestEncoder:
         assert not np.allclose(base[1:][perm], permuted[1:], atol=1e-6)
 
     def test_desk_gradcheck(self):
-        model = desk_model(seed=0)
+        model = desk_model(seed=0, dtype="float64")
         rng = np.random.default_rng(2)
         img = rng.random((3, 32, 32))
         label = np.array([1])
@@ -293,7 +293,7 @@ def per_image_logits(model, image):
 
 class TestBatchFirst:
     def _model_and_batch(self):
-        model = desk_model(seed=21)
+        model = desk_model(seed=21, dtype="float64")
         rng = np.random.default_rng(22)
         # leave no parameter at an exact zero or one, so every path carries signal
         for prm in model.params.values():
