@@ -47,8 +47,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _apply_config_file(args: argparse.Namespace, argv: list) -> None:
     """File values fill in flags the user did not pass on the command line.
     ``argv`` names each passed flag in full, since :func:`build_parser`
-    refuses abbreviations.  A missing file is an ``OSError``; an unparsable file or value is a
-    :class:`ConfigurationError` naming the file and the key."""
+    refuses abbreviations.  A missing file is an ``OSError``; an unparsable
+    file or value is a :class:`ConfigurationError` naming the file and the
+    key."""
     if not args.config:
         return
     parser = configparser.ConfigParser()

@@ -648,12 +648,12 @@ def finite_diff_gradcheck(
     """
     if not 0.0 < eps <= 1e-2:
         raise ConfigurationError(f"eps {eps} outside (0, 1e-2]")
-    named = params.items() if isinstance(params, dict) else enumerate(params)
-    for name, p in named:
+    named = dict(params) if isinstance(params, dict) else dict(enumerate(params))
+    for name, p in named.items():
         if p.data.dtype != np.float64:
             raise ContractError(
                 f"gradcheck parameter {name!r} is {p.data.dtype}; it needs float64")
-    params = list(params.values() if isinstance(params, dict) else params)
+    params = list(named.values())
     for p in params:
         p.zero_grad()
     with Tape() as tape:

@@ -89,6 +89,7 @@ class TestWorkflow:
                     "--out", tmp_path / "ckpt", "--seed", "0"])
         assert code == 0
         ckpt = tmp_path / "ckpt" / f"{kind}_src.ckpt"
+        assert ckpt.exists()
         saved = load_checkpoint(ckpt)
         assert saved.config["dtype"] == "float32"
         assert all(p.dtype == np.float32 for p in saved.params.values())
