@@ -29,7 +29,6 @@ class Checkpoint:
     config: dict                   # model config as plain values
     params: dict                   # name -> np.ndarray
     metadata: dict = field(default_factory=dict)
-    version: int = _VERSION
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -47,7 +46,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<H", ckpt.version))
+            fh.write(struct.pack("<H", _VERSION))
             fh.write(struct.pack("<I", len(meta_bytes)))
             fh.write(meta_bytes)
             fh.write(struct.pack("<I", len(ckpt.params)))

@@ -2,8 +2,9 @@
 pretraining, fine-tuning, evaluation, and the multi-model comparison run.
 
 Configuration files are flat ``key = value`` text with bracketed section
-headers (parsed with configparser); command-line flags override file
-values.  Exit codes: 0 success, 1 runtime error, 2 usage error.
+headers (parsed with configparser); each key is one of the command's long
+options, and command-line flags override file values.  Exit codes:
+0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,37 +45,40 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate")
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list) -> None:
-    """File values fill in flags the user did not pass on the command line.
-    ``argv`` names each passed flag in full, since :func:`build_parser`
-    refuses abbreviations.  A missing file is an ``OSError``; an unparsable
-    file or value is a :class:`ConfigurationError` naming the file and the
-    key."""
+class _FileParser(argparse.ArgumentParser):
+    """Raises argparse's message instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _with_config_file(args: argparse.Namespace, argv: list) -> argparse.Namespace:
+    """Re-parse ``argv`` behind the ``--config`` file's entries as long flags,
+    so argparse checks them and a flag in argv, coming later, wins.  An
+    option that is a bool in ``args`` is ``store_true``: its entry takes
+    ``true`` or ``false``.  A missing file is an ``OSError``; any fault in
+    the file is a :class:`ConfigurationError` naming it."""
     if not args.config:
-        return
-    parser = configparser.ConfigParser()
-    passed = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        return args
+    config = configparser.ConfigParser()
+    flags = []
     where = f"config file {args.config}"
     try:
         with open(args.config, encoding="utf-8") as fh:
-            parser.read_file(fh)
-        for section in parser.sections():
-            for key in parser[section]:
+            config.read_file(fh)
+        # DEFAULT too: a file holding only [DEFAULT] is not to be dropped
+        for section in config:
+            for key, value in config[section].items():
                 where = f"config file {args.config}, [{section}] {key}"
-                value = parser[section][key]
-                attr = key.replace("-", "_")
-                if hasattr(args, attr) and attr not in passed:
-                    current = getattr(args, attr)
-                    if isinstance(current, bool):
-                        value = parser[section].getboolean(key)
-                    elif isinstance(current, int):
-                        value = int(value)
-                    elif isinstance(current, float):
-                        value = float(value)
-                    elif isinstance(current, Path) or current is None and attr in ("config", "out"):
-                        value = Path(value)
-                    setattr(args, attr, value)
-    except (configparser.Error, ValueError) as exc:
+                flag = "--" + key.replace("_", "-")
+                if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+                    flags.append(f"{flag}={value}")  # so a value like -1 is no flag
+                elif config[section].getboolean(key):
+                    flags.append(flag)
+        where = f"config file {args.config}"
+        # argv[0] is the subcommand: the top-level parser has no option but -h
+        return build_parser(_FileParser).parse_args([argv[0], *flags, *argv[1:]])
+    except (configparser.Error, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"{where}: {exc}") from exc
 
 
@@ -220,10 +224,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # no abbreviated long options: _apply_config_file tells a passed flag
-    # from a file value by the flag's full name
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    # no abbreviated long options, so a --config key is spelled in full too:
+    # a misspelt key such as "epoch" must not parse as --epochs
+    parser = parser_class(
         prog="vitbench",
         description="Desk-scale ViT/CNN classification benchmark toolkit",
         allow_abbrev=False,
@@ -297,7 +301,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(args, argv)
+        args = _with_config_file(args, argv)
         return args.fn(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

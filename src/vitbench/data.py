@@ -23,6 +23,8 @@ from .errors import (
     FormatError,
     RangeError,
     ValidationError,
+    check_int,
+    is_real,
 )
 from .tensor import tnsr_decode
 
@@ -48,7 +50,7 @@ class DatasetManifest:
     def labels(self) -> np.ndarray:
         return np.array([lab for _, lab in self.entries], dtype=np.int64)
 
-    def validate(self, check_files: bool = True) -> None:
+    def validate(self) -> None:
         if not self.class_names:
             raise ValidationError("manifest has no class names")
         if len(set(self.class_names)) != len(self.class_names):
@@ -57,16 +59,13 @@ class DatasetManifest:
         for path, lab in self.entries:
             if not 0 <= lab < c:
                 raise ValidationError(f"entry {path!r} has label {lab} outside [0, {c})")
-        if check_files:
-            missing = [p for p, _ in self.entries if not self.resolve(p).exists()]
-            if missing:
-                shown = ", ".join(missing[:10])
-                raise ValidationError(
-                    f"{len(missing)} entry files missing, e.g.: {shown}"
-                )
+        missing = [p for p, _ in self.entries if not self.resolve(p).exists()]
+        if missing:
+            shown = ", ".join(missing[:10])
+            raise ValidationError(f"{len(missing)} entry files missing, e.g.: {shown}")
 
 
-def load_manifest(path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     class_names = None
     name = path.stem
@@ -102,7 +101,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         name=name, class_names=class_names, entries=entries,
         source_note=note, root=path.parent,
     )
-    manifest.validate(check_files=check_files)
+    manifest.validate()
     return manifest
 
 
@@ -153,24 +152,21 @@ def _parse_pnm_header(data: bytes, magic: bytes):
     return w, h, i
 
 
+# binary PNM formats: magic and channel count
+_PNM = {"ppm": (b"P6", 3), "pgm": (b"P5", 1)}
+
+
 def decode_image(data: bytes, fmt: str) -> np.ndarray:
     """Decode bytes to a channels x H x W float image in [0, 1]."""
-    if fmt == "ppm":
-        w, h, off = _parse_pnm_header(data, b"P6")
-        need = w * h * 3
+    if fmt in _PNM:
+        magic, c = _PNM[fmt]
+        w, h, off = _parse_pnm_header(data, magic)
+        need = w * h * c
         raw = data[off:off + need]
         if len(raw) < need:
-            raise FormatError(f"truncated PPM payload: {len(raw)} of {need} bytes")
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+            raise FormatError(f"truncated {fmt.upper()} payload: {len(raw)} of {need} bytes")
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, c)
         return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
-    if fmt == "pgm":
-        w, h, off = _parse_pnm_header(data, b"P5")
-        need = w * h
-        raw = data[off:off + need]
-        if len(raw) < need:
-            raise FormatError(f"truncated PGM payload: {len(raw)} of {need} bytes")
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(1, h, w)
-        return arr.astype(np.float64) / 255.0
     if fmt == "tnsr":
         arr = tnsr_decode(data)
         if arr.ndim != 3:
@@ -259,10 +255,12 @@ class AugmentConfig:
     rotate: bool = False        # random quarter-turn rotation
 
     def __post_init__(self):
-        if self.crop_pad < 0:
-            raise ConfigurationError("crop_pad must be >= 0")
-        if not 0.0 <= self.flip_p <= 1.0:
-            raise ConfigurationError("flip_p must be in [0, 1]")
+        check_int("AugmentConfig crop_pad", self.crop_pad, minimum=0)
+        if not (is_real(self.flip_p) and 0.0 <= self.flip_p <= 1.0):
+            raise ConfigurationError(
+                f"AugmentConfig flip_p must be in [0, 1], got {self.flip_p!r}")
+        if not isinstance(self.rotate, bool):
+            raise ConfigurationError(f"AugmentConfig rotate must be a bool, got {self.rotate!r}")
 
     @property
     def enabled(self) -> bool:
@@ -308,10 +306,17 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self):
-        if any(r < 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
+        r = self.ratios
+        # each ratio in [0, 1] also keeps the sum clear of overflow
+        if not (isinstance(r, (tuple, list)) and len(r) == 3
+                and all(is_real(x) and 0.0 <= x <= 1.0 for x in r)
+                and abs(sum(r) - 1.0) <= 1e-9):
             raise ConfigurationError(
-                f"split ratios {self.ratios} must be non-negative and sum to 1"
-            )
+                f"split ratios {r!r} must be three reals in [0, 1] that sum to 1")
+        check_int("SplitSpec seed", self.seed, minimum=0)
+        if not isinstance(self.stratified, bool):
+            raise ConfigurationError(
+                f"SplitSpec stratified must be a bool, got {self.stratified!r}")
 
 
 def _allocate(indices, ratios):
@@ -396,8 +401,7 @@ def make_batches(
 ) -> list[Batch]:
     """Deterministic batches; the final partial batch is kept.  Without a
     ``cache`` every image is decoded from disk."""
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    check_int("batch_size", batch_size)
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
     load = cache.get if cache is not None else load_image
@@ -464,6 +468,7 @@ def generate_synthetic(
     Returns the manifest path.  ``angle_offset`` shifts the whole class
     family so two generated datasets form disjoint tasks.
     """
+    check_int("seed", seed, minimum=0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -41,6 +41,11 @@ class TrainingError(ToolkitError):
     """Training diverged or otherwise failed at runtime."""
 
 
+def is_real(value) -> bool:
+    """An int or a float; a bool does not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_int(name: str, value, minimum: int = 1) -> None:
     """Raise :class:`ConfigurationError` unless ``value`` is an int (a bool
     does not count) of at least ``minimum``."""

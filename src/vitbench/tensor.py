@@ -95,6 +95,11 @@ class Tensor:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match value shape {self.data.shape}"
             )
+        # += would cast a float64 gradient into a float32 buffer unseen
+        if g.dtype != self.data.dtype:
+            raise ContractError(
+                f"gradient dtype {g.dtype} does not match value dtype {self.data.dtype}"
+            )
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         self._grad += g
@@ -612,8 +617,9 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
         for m in masks[1:]:
             count += m
         share = g / count
-        # the taps tile x, so every element of dx is written exactly once
-        dx = np.empty_like(x.data)
+        # the taps tile x, so every element of dx is written exactly once;
+        # share's dtype, so an upcast reaches accumulate_grad's check
+        dx = np.empty(x.shape, share.dtype)
         for s, m in zip(slices, masks):
             np.multiply(m, share, out=dx[s])
         return [(x, dx)]
@@ -689,23 +695,20 @@ def finite_diff_gradcheck(
 # TNSR serialization
 
 _TNSR_MAGIC = b"TNSR"
-_DTYPE_CODES = {1: np.float32, 2: np.float64}
+# dtype code -> on-disk scalar type
+_TNSR_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
 def tnsr_encode(arr: np.ndarray) -> bytes:
     """Serialize an array: magic, version, dtype code, rank, u64 extents, scalars."""
     arr = np.asarray(arr)
-    if arr.dtype == np.float32:
-        code = 1
-    else:
-        arr = arr.astype(np.float64)
-        code = 2
+    code = 1 if arr.dtype == np.float32 else 2
     buf = io.BytesIO()
     buf.write(_TNSR_MAGIC)
     buf.write(struct.pack("<BBB", 1, code, arr.ndim))
     for ext in arr.shape:
         buf.write(struct.pack("<Q", ext))
-    buf.write(arr.astype("<f4" if code == 1 else "<f8").tobytes(order="C"))
+    buf.write(arr.astype(_TNSR_DTYPES[code]).tobytes(order="C"))
     return buf.getvalue()
 
 
@@ -715,7 +718,8 @@ def tnsr_decode(data: bytes) -> np.ndarray:
     version, code, rank = struct.unpack("<BBB", data[4:7])
     if version != 1:
         raise FormatError(f"unsupported TNSR version {version}")
-    if code not in _DTYPE_CODES:
+    dtype = _TNSR_DTYPES.get(code)
+    if dtype is None:
         raise FormatError(f"unknown TNSR dtype code {code}")
     off = 7
     if len(data) < off + 8 * rank:
@@ -724,18 +728,16 @@ def tnsr_decode(data: bytes) -> np.ndarray:
     off += 8 * rank
     # math.prod on Python ints cannot wrap the way an int64 product can
     count = math.prod(shape)
-    itemsize = 4 if code == 1 else 8
-    if len(data) != off + count * itemsize:
+    if len(data) != off + count * dtype.itemsize:
         raise FormatError(
             f"TNSR payload length {len(data) - off} does not match shape {shape}"
         )
-    arr = np.frombuffer(
-        data, dtype="<f4" if code == 1 else "<f8", count=count, offset=off
-    )
+    arr = np.frombuffer(data, dtype=dtype, count=count, offset=off)
     try:
         # an empty payload still fails here on extents numpy cannot hold
         # (over 2^63, a product over its size limit, or too many axes)
         arr = arr.reshape(shape)
     except ValueError as exc:
         raise FormatError(f"TNSR shape {shape} is not representable: {exc}") from exc
-    return arr.astype(_DTYPE_CODES[code])
+    # a writable copy in native byte order
+    return arr.astype(dtype.newbyteorder("="))

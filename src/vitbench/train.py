@@ -3,6 +3,7 @@ workflow, evaluation, and the comparison-report CSV."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -15,6 +16,8 @@ from .errors import (
     ContractError,
     EmptyDatasetError,
     TrainingError,
+    check_int,
+    is_real,
 )
 from .tensor import Tape, backward, check_class_range, cross_entropy
 from .vit import ViTClassifier, ViTConfig
@@ -26,7 +29,8 @@ def make_model(kind: str, config: dict, seed: int = 0):
     """The one model factory: ``config`` is a plain dict, and fields it
     omits take their defaults, so ``{"num_classes": n}`` suits every kind.
     A non-dict config, a key that names no field, or extents too large to
-    allocate is a ConfigurationError."""
+    allocate is a ConfigurationError, and so is a seed that is not an int >= 0."""
+    check_int("model seed", seed, minimum=0)
     if kind == "vit":
         cls, cfg = ViTClassifier, _build_config(ViTConfig, config)
     elif kind in CNN_KINDS:
@@ -61,11 +65,14 @@ class TrainConfig:
     augment: D.AugmentConfig = field(default_factory=D.AugmentConfig)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
+        check_int("TrainConfig epochs", self.epochs)
+        check_int("TrainConfig batch_size", self.batch_size)
+        check_int("TrainConfig seed", self.seed, minimum=0)
+        if not (is_real(self.lr) and 0.0 < self.lr < math.inf):
+            raise ConfigurationError(f"TrainConfig lr must be finite and > 0, got {self.lr!r}")
+        if not isinstance(self.augment, D.AugmentConfig):
             raise ConfigurationError(
-                f"invalid TrainConfig: epochs={self.epochs}, "
-                f"batch_size={self.batch_size}, lr={self.lr}"
-            )
+                f"TrainConfig augment must be an AugmentConfig, got {self.augment!r}")
 
 
 class Adam:

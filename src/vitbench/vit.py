@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, DimensionError, check_int
+from .errors import ConfigurationError, DimensionError, check_int, is_real
 from .tensor import Model, Tensor
 
 
@@ -39,10 +39,10 @@ class ViTConfig:
                      "num_heads", "num_classes"):
             check_int(f"ViT {name}", getattr(self, name))
         check_int("ViT num_layers", self.num_layers, minimum=0)
-        if not (_is_real(self.mlp_ratio) and 0.0 < self.mlp_ratio < math.inf):
+        if not (is_real(self.mlp_ratio) and 0.0 < self.mlp_ratio < math.inf):
             raise ConfigurationError(
                 f"ViT mlp_ratio must be finite and > 0, got {self.mlp_ratio!r}")
-        if not (_is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
+        if not (is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigurationError(f"ViT dropout must be in [0, 1), got {self.dropout!r}")
         T.check_dtype("ViT", self.dtype)
         if self.image_size % self.patch_size:
@@ -73,10 +73,6 @@ class ViTConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def partition_and_flatten(image: np.ndarray, patch_size: int) -> np.ndarray:

@@ -3,13 +3,18 @@ import pytest
 
 from vitbench import cli
 from vitbench import data as D
-from vitbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from vitbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint, snapshot_params
 from vitbench.cli import build_parser, main
-from vitbench.train import MetricsRecord
+from vitbench.train import MetricsRecord, make_model
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def manifest(tmp_path):
+    return D.generate_synthetic(tmp_path / "d", "d", 2, 2, seed=1)
 
 
 class TestUsage:
@@ -123,10 +128,6 @@ class TestWorkflow:
 class TestBadInputs:
     """Every bad input exits 1 with an ``error:`` line, never a traceback."""
 
-    @pytest.fixture
-    def manifest(self, tmp_path):
-        return D.generate_synthetic(tmp_path / "d", "d", 2, 2, seed=1)
-
     def expect_error(self, argv, capsys, *needles):
         assert run(argv) == 1
         err = capsys.readouterr().err
@@ -180,6 +181,41 @@ class TestBadInputs:
                            "--epochs", "1", "--out", tmp_path / "out"], capsys, "typo.cfg")
         assert not (tmp_path / "out").exists()
 
+    # a key that names no option of the command: an attribute argparse sets
+    # itself, a positional argument, a misspelling (also under [DEFAULT]),
+    # and a value outside the option's choices
+    @pytest.mark.parametrize("entry, needle", [
+        ("[run]\nfn = x", "--fn"),
+        ("[run]\nmanifest = {other}", "--manifest"),
+        ("[run]\nepoch = 3", "--epoch"),
+        ("[DEFAULT]\nepoch = 3", "--epoch"),
+        ("[run]\nmodel = bogus", "--model"),
+    ], ids=["fn", "manifest", "epoch", "epoch-in-default", "model"])
+    def test_config_entry_that_is_no_valid_option(self, tmp_path, manifest, capsys,
+                                                  entry, needle):
+        other = D.generate_synthetic(tmp_path / "o", "o", 2, 2, seed=2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry.format(other=other) + "\n")
+        self.expect_error(["pretrain", manifest, "--config", cfg, "--epochs", "1",
+                           "--batch-size", "4", "--out", tmp_path / "out"], capsys,
+                          "config file", "run.cfg", needle)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_store_true_entry_that_is_no_boolean(self, tmp_path, manifest, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nfreeze-backbone = maybe\n")
+        self.expect_error(["finetune", tmp_path / "m.ckpt", manifest, "--config", cfg],
+                          capsys, "run.cfg", "freeze-backbone", "maybe")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-synthetic", "--seed", "-1"],
+        ["split", "{manifest}", "--seed", "-1"],
+        ["pretrain", "{manifest}", "--seed", "-1", "--epochs", "1"],
+    ])
+    def test_negative_seed(self, tmp_path, manifest, capsys, argv):
+        argv = [a.format(manifest=manifest) for a in argv]
+        self.expect_error([*argv, "--out", tmp_path / "out"], capsys, "seed", ">= 0")
+
 
 class TestCompare:
     def test_summary_and_csv_footer_agree_on_a_tie(self, tmp_path, monkeypatch):
@@ -199,19 +235,46 @@ class TestCompare:
 
 
 class TestConfigFile:
-    def test_file_values_fill_unpassed_flags(self, tmp_path):
+    def test_file_values_fill_unpassed_flags(self, tmp_path, manifest, monkeypatch):
+        seen = []
+
+        def fake_pretrain(kind, model_config, data, cfg):
+            seen.append(cfg)
+            return Checkpoint(kind=kind, config=model_config, params={})
+
+        monkeypatch.setattr(cli, "pretrain", fake_pretrain)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[train]\nepochs = 3\nbatch-size = 8\n")
-        parser = build_parser()
-        args = parser.parse_args(["pretrain", "x.manifest", "--config", str(cfg),
-                                  "--batch-size", "16"])
-        from vitbench.cli import _apply_config_file
-        _apply_config_file(args, ["--config", str(cfg), "--batch-size=16"])
-        assert args.epochs == 3        # from file
-        assert args.batch_size == 16   # flag wins
+        assert run(["pretrain", manifest, "--config", cfg, "--batch-size", "16",
+                    "--out", tmp_path / "out"]) == 0
+        assert seen[0].epochs == 3        # from file
+        assert seen[0].batch_size == 16   # flag wins
+
+    @pytest.mark.parametrize("value, frozen", [("true", True), ("false", False)])
+    def test_store_true_entry_takes_a_boolean(self, tmp_path, manifest, monkeypatch,
+                                              value, frozen):
+        models = []
+        real_fine_tune = cli.fine_tune
+
+        def spy_fine_tune(*args, **kwargs):
+            model, history = real_fine_tune(*args, **kwargs)
+            models.append(model)
+            return model, history
+
+        monkeypatch.setattr(cli, "fine_tune", spy_fine_tune)
+        model = make_model("vit", {"num_classes": 2})
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config=model.config.to_dict(),
+                                   params=snapshot_params(model)), ckpt)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[finetune]\nfreeze_backbone = {value}\n")
+        assert run(["finetune", ckpt, manifest, "--config", cfg, "--epochs", "1",
+                    "--batch-size", "4", "--out", tmp_path / "out"]) == 0
+        (tuned,) = models
+        assert {tuned.params[n].requires_grad for n in tuned.backbone_names()} == {not frozen}
 
     def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys):
-        # an abbreviation would parse, then lose to the file's value
+        # allow_abbrev=False also keeps a file key such as epoch from reading as --epochs
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[train]\nepochs = 3\n")
         with pytest.raises(SystemExit) as exc:

@@ -217,6 +217,15 @@ class TestAugment:
         b = D.augment(img, cfg, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("field, value", [
+        ("crop_pad", 1.5), ("crop_pad", -1), ("crop_pad", True),
+        ("flip_p", float("nan")), ("flip_p", 1.5), ("flip_p", "0.5"),
+        ("rotate", 1), ("rotate", "yes"),
+    ])
+    def test_bad_field_is_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            D.AugmentConfig(**{field: value})
+
     def test_shape_preserved(self):
         rng = np.random.default_rng(8)
         img = rng.random((3, 10, 10))
@@ -272,6 +281,16 @@ class TestSplit:
     def test_bad_ratios(self):
         with pytest.raises(ConfigurationError):
             D.SplitSpec(ratios=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("field, value", [
+        ("ratios", (0.5, 0.5)), ("ratios", (0.25, 0.25, 0.25, 0.25)),
+        ("ratios", (float("nan"), 0.5, 0.5)), ("ratios", (1.5, -0.25, -0.25)),
+        ("ratios", (1, 0, "0")), ("ratios", 1.0), ("ratios", "abc"),
+        ("seed", -1), ("seed", 0.5), ("stratified", 1), ("stratified", None),
+    ])
+    def test_bad_field_is_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            D.SplitSpec(**{field: value})
 
 
 class TestBatches:
@@ -339,6 +358,12 @@ class TestBatches:
         with pytest.raises(ConfigurationError):
             D.make_batches(manifest, 0)
 
+    @pytest.mark.parametrize("batch_size", [2.5, "4", True])
+    def test_non_int_batch_size(self, batch_size):
+        manifest = in_memory_manifest([0])
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            D.make_batches(manifest, batch_size)
+
 
 class TestSynthetic:
     def test_byte_identical_across_runs(self, tmp_path):
@@ -358,6 +383,11 @@ class TestSynthetic:
         out = tmp_path / "again.manifest"
         D.save_manifest(manifest, out)
         assert path.read_text() == out.read_text()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_configuration_error(self, tmp_path, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            D.generate_synthetic(tmp_path, "bad", 2, 2, seed=seed)
 
     def test_values_in_range(self, tmp_path):
         path = D.generate_synthetic(tmp_path, "rng", 3, 2, seed=13)

@@ -1,7 +1,8 @@
 """Property tests: every decoder either decodes its input or raises a
 typed ``ToolkitError``, for arbitrary bytes and for mutated valid
 encodings alike; the model factory either builds a model from a config
-or raises one."""
+or raises one, and each settings dataclass either constructs or raises a
+``ConfigurationError``."""
 
 from dataclasses import fields
 
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from vitbench import data as D
 from vitbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from vitbench.cnn import CnnConfig
-from vitbench.errors import ToolkitError
+from vitbench.errors import ConfigurationError, ToolkitError
 from vitbench.tensor import tnsr_decode, tnsr_encode
-from vitbench.train import MODEL_KINDS, make_model
+from vitbench.train import MODEL_KINDS, TrainConfig, make_model
 from vitbench.vit import ViTConfig
 
 _IMAGE = np.linspace(0.0, 1.0, 12).reshape(3, 2, 2)
@@ -173,3 +174,15 @@ class TestMakeModel:
         model = _decode_or_typed_error(lambda c: make_model(kind, c), config)
         if model is not None:
             assert model.kind == kind
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, D.AugmentConfig, D.SplitSpec])
+class TestSettings:
+    @given(data=st.data())
+    def test_constructs_or_raises_configuration_error(self, cls, data):
+        names = st.sampled_from([f.name for f in fields(cls)])
+        kwargs = data.draw(st.dictionaries(names, _CONFIG_VALUES))
+        try:
+            cls(**kwargs)
+        except ConfigurationError:
+            pass

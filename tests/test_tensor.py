@@ -601,6 +601,11 @@ class TestFloat32:
         assert backward_grad_dtypes(loss, tape) == {np.dtype(np.float32)}
         assert np.array_equal(x.grad, np.full((1, 1, 2, 2), 0.25, np.float32))
 
+    def test_float64_gradient_into_float32_tensor_is_refused(self):
+        x = Tensor(np.ones(2, np.float32), requires_grad=True)
+        with pytest.raises(ContractError, match="float64"):
+            x.accumulate_grad(np.ones(2))
+
     @pytest.mark.parametrize("value, dtype", [
         (np.ones(2, np.float32), np.float32),
         (np.ones(2), np.float64),

@@ -132,6 +132,15 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             TrainConfig(lr=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", "8"),
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", "0.1"), ("lr", True),
+        ("seed", -1), ("seed", 0.5), ("augment", None),
+    ])
+    def test_bad_field_is_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestEvaluate:
     def test_perfect_predictions(self, tiny_task):
@@ -441,6 +450,11 @@ class TestMakeModel:
     def test_unknown_keys_are_named(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             make_model("vit", {"num_classes": 2, "bogus": 1})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            make_model("vit", {"num_classes": 2}, seed=seed)
 
 
 def _relabel(manifest, num_classes):
