@@ -60,7 +60,8 @@ def _with_config_file(args: argparse.Namespace, argv: list) -> argparse.Namespac
     the file is a :class:`ConfigurationError` naming it."""
     if not args.config:
         return args
-    config = configparser.ConfigParser()
+    # values are read as written: a % is a plain character
+    config = configparser.ConfigParser(interpolation=None)
     flags = []
     where = f"config file {args.config}"
     try:

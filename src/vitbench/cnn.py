@@ -109,51 +109,36 @@ class CnnModel(Model):
             return Tensor(np.zeros(shape, config.dtype), requires_grad=True)
 
         p = self.params
+
+        def conv(name, cout, cin, k=3):
+            p[name + ".w"] = normal(cout, cin, k, k)
+            p[name + ".b"] = zeros(cout)
+
         widths = config.stage_widths
-        nb = config.blocks_per_stage
-        if config.kind == "vgg-mini":
-            cin = config.channels
-            for s, w in enumerate(widths):
-                for j in range(nb):
-                    p[f"stages.{s}.{j}.w"] = normal(w, cin, 3, 3)
-                    p[f"stages.{s}.{j}.b"] = zeros(w)
-                    cin = w
-            spatial = config.image_size // (2 ** len(widths))
-            feat = widths[-1] * spatial * spatial
-            p["head.w"] = normal(feat, config.num_classes)
-            p["head.b"] = zeros(config.num_classes)
-        elif config.kind == "resnet-mini":
-            p["stem.w"] = normal(widths[0], config.channels, 3, 3)
-            p["stem.b"] = zeros(widths[0])
+        vgg = config.kind == "vgg-mini"
+        cin = config.channels
+        if not vgg:
+            conv("stem", widths[0], cin)
             cin = widths[0]
-            for s, w in enumerate(widths):
-                for j in range(nb):
-                    stride = 2 if j == 0 else 1
-                    pre = f"stages.{s}.{j}."
-                    p[pre + "conv1.w"] = normal(w, cin, 3, 3)
-                    p[pre + "conv1.b"] = zeros(w)
-                    p[pre + "conv2.w"] = normal(w, w, 3, 3)
-                    p[pre + "conv2.b"] = zeros(w)
-                    if stride != 1 or cin != w:
-                        p[pre + "proj.w"] = normal(w, cin, 1, 1)
-                        p[pre + "proj.b"] = zeros(w)
-                    cin = w
-            p["head.w"] = normal(widths[-1], config.num_classes)
-            p["head.b"] = zeros(config.num_classes)
-        else:  # mobilenet-mini
-            p["stem.w"] = normal(widths[0], config.channels, 3, 3)
-            p["stem.b"] = zeros(widths[0])
-            cin = widths[0]
-            for s, w in enumerate(widths):
-                for j in range(nb):
-                    pre = f"stages.{s}.{j}."
-                    p[pre + "dw.w"] = normal(cin, 1, 3, 3)
-                    p[pre + "dw.b"] = zeros(cin)
-                    p[pre + "pw.w"] = normal(w, cin, 1, 1)
-                    p[pre + "pw.b"] = zeros(w)
-                    cin = w
-            p["head.w"] = normal(widths[-1], config.num_classes)
-            p["head.b"] = zeros(config.num_classes)
+        for s, w in enumerate(widths):
+            for j in range(config.blocks_per_stage):
+                pre = f"stages.{s}.{j}"
+                if vgg:
+                    conv(pre, w, cin)
+                elif config.kind == "resnet-mini":
+                    conv(pre + ".conv1", w, cin)
+                    conv(pre + ".conv2", w, w)
+                    # the first block of a stage has stride 2, so it projects
+                    if j == 0 or cin != w:
+                        conv(pre + ".proj", w, cin, k=1)
+                else:
+                    conv(pre + ".dw", cin, 1)
+                    conv(pre + ".pw", w, cin, k=1)
+                cin = w
+        # vgg-mini flattens its last feature map; the others pool it to a vector
+        spatial = config.image_size // 2 ** len(widths) if vgg else 1
+        p["head.w"] = normal(widths[-1] * spatial * spatial, config.num_classes)
+        p["head.b"] = zeros(config.num_classes)
 
     def block_params(self, stage: int, j: int) -> dict:
         pre = f"stages.{stage}.{j}."
@@ -161,25 +146,22 @@ class CnnModel(Model):
 
     def forward_batch(self, images: np.ndarray) -> Tensor:
         cfg = self.config
-        x = Tensor(np.asarray(images, cfg.dtype))
         p = self.params
-        nb = cfg.blocks_per_stage
-        if cfg.kind == "vgg-mini":
-            for s in range(len(cfg.stage_widths)):
-                for j in range(nb):
-                    x = T.relu(_conv(x, p[f"stages.{s}.{j}.w"], p[f"stages.{s}.{j}.b"]))
+        vgg = cfg.kind == "vgg-mini"
+        x = Tensor(self.as_batch(images))
+        if not vgg:
+            x = T.relu(_conv(x, p["stem.w"], p["stem.b"]))
+        for s in range(len(cfg.stage_widths)):
+            for j in range(cfg.blocks_per_stage):
+                blk = self.block_params(s, j)
+                stride = 2 if j == 0 else 1
+                if vgg:
+                    x = T.relu(_conv(x, blk["w"], blk["b"]))
+                elif cfg.kind == "resnet-mini":
+                    x = residual_block(x, blk, stride=stride)
+                else:
+                    x = depthwise_separable(x, blk, stride=stride)
+            if vgg:
                 x = T.max_pool2d(x, 2)
-            feat = T.reshape(x, (x.shape[0], -1))
-        elif cfg.kind == "resnet-mini":
-            x = T.relu(_conv(x, p["stem.w"], p["stem.b"]))
-            for s in range(len(cfg.stage_widths)):
-                for j in range(nb):
-                    x = residual_block(x, self.block_params(s, j), stride=2 if j == 0 else 1)
-            feat = T.global_avg_pool(x)
-        else:
-            x = T.relu(_conv(x, p["stem.w"], p["stem.b"]))
-            for s in range(len(cfg.stage_widths)):
-                for j in range(nb):
-                    x = depthwise_separable(x, self.block_params(s, j), stride=2 if j == 0 else 1)
-            feat = T.global_avg_pool(x)
+        feat = T.reshape(x, (x.shape[0], -1)) if vgg else T.global_avg_pool(x)
         return T.add(T.matmul(feat, p["head.w"]), p["head.b"])

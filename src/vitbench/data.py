@@ -1,6 +1,5 @@
-"""Dataset manifests, image decoding, preprocessing, augmentation, the
-train/val/test split, deterministic batching, and synthetic dataset
-generation.
+"""Dataset manifests, image decoding, augmentation, the train/val/test
+split, deterministic batching, and synthetic dataset generation.
 
 A manifest is a line-oriented UTF-8 text file: comment-style header lines
 (``#classes: a,b,c`` is mandatory, ``#name:`` / ``#note:`` optional),
@@ -203,48 +202,6 @@ def load_image(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# preprocessing
-
-
-def bilinear_resize(img: np.ndarray, size: int) -> np.ndarray:
-    """Corner-aligned bilinear resize to size x size; identity when matched."""
-    c, h, w = img.shape
-    if h == size and w == size:
-        return img.copy()
-
-    def coords(n_in, n_out):
-        if n_out > 1:
-            return np.arange(n_out) * (n_in - 1) / (n_out - 1)
-        return np.array([(n_in - 1) / 2.0])
-
-    ys = coords(h, size)
-    xs = coords(w, size)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    out = (
-        img[:, y0][:, :, x0] * (1 - fy) * (1 - fx)
-        + img[:, y0][:, :, x1] * (1 - fy) * fx
-        + img[:, y1][:, :, x0] * fy * (1 - fx)
-        + img[:, y1][:, :, x1] * fy * fx
-    )
-    return out
-
-
-def preprocess(img: np.ndarray, target_size: int, mean, std) -> np.ndarray:
-    """Resize then per-channel (x - mean) / std."""
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1, 1, 1)
-    std = np.asarray(std, dtype=np.float64).reshape(-1, 1, 1)
-    if np.any(std <= 0):
-        raise ConfigurationError(f"std components must be positive, got {std.ravel()}")
-    resized = bilinear_resize(img, target_size)
-    return (resized - mean) / std
-
-
-# ---------------------------------------------------------------------------
 # augmentation
 
 
@@ -400,7 +357,8 @@ def make_batches(
     augment_cfg: AugmentConfig | None = None,
 ) -> list[Batch]:
     """Deterministic batches; the final partial batch is kept.  Without a
-    ``cache`` every image is decoded from disk."""
+    ``cache`` every image is decoded from disk.  An image whose shape
+    differs from its batch's first is a :class:`FormatError`."""
     check_int("batch_size", batch_size)
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
@@ -419,6 +377,9 @@ def make_batches(
             img = load(manifest.resolve(rel))
             if augment_cfg is not None and augment_cfg.enabled:
                 img = augment(img, augment_cfg, rng)
+            if imgs and img.shape != imgs[0].shape:
+                raise FormatError(f"image {manifest.resolve(rel)} has shape {img.shape}, "
+                                  f"but its batch started with shape {imgs[0].shape}")
             imgs.append(img)
             labels.append(lab)
         batches.append(Batch(np.stack(imgs), np.array(labels, dtype=np.int64)))
@@ -468,7 +429,16 @@ def generate_synthetic(
     Returns the manifest path.  ``angle_offset`` shifts the whole class
     family so two generated datasets form disjoint tasks.
     """
+    check_int("num_classes", num_classes)
+    check_int("per_class", per_class)
+    check_int("image_size", image_size)
     check_int("seed", seed, minimum=0)
+    if not (is_real(noise) and 0.0 <= noise < math.inf):
+        raise ConfigurationError(f"noise must be finite and >= 0, got {noise!r}")
+    # the tint seed is int(angle_offset * 1000), so the product must be finite
+    if not (is_real(angle_offset) and 0.0 <= angle_offset * 1000 < math.inf):
+        raise ConfigurationError(
+            f"angle_offset must be >= 0 and finite times 1000, got {angle_offset!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     FormatError,
     LabelError,
+    check_int,
 )
 
 # the compute dtypes a model config may name
@@ -115,13 +116,26 @@ class Model:
     """The protocol every classifier shares with training and transfer.
 
     A model has ``params`` (name -> Tensor), a ``kind``, a ``config`` with
-    ``to_dict()``, ``forward_batch(images) -> logits`` and a ``train_mode``
-    flag that ``train`` sets.  Parameters named ``head.*`` form the
-    classification head; fine-tuning replaces them and keeps the backbone.
+    ``channels``, ``image_size``, ``dtype`` and ``to_dict()``,
+    ``forward_batch(images) -> logits`` and a ``train_mode`` flag that
+    ``train`` sets.  Parameters named ``head.*`` form the classification
+    head; fine-tuning replaces them and keeps the backbone.
     """
 
     train_mode = False
     params: dict
+
+    def as_batch(self, images) -> np.ndarray:
+        """``images`` cast to ``config.dtype``; :class:`ConfigurationError`
+        unless they are (B, channels, image_size, image_size)."""
+        cfg = self.config
+        images = np.asarray(images, cfg.dtype)
+        if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
+            raise ConfigurationError(
+                f"image batch shape {images.shape} does not match config "
+                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})"
+            )
+        return images
 
     def head_names(self) -> list[str]:
         return [k for k in self.params if k.startswith("head.")]
@@ -648,12 +662,15 @@ def finite_diff_gradcheck(
 
     ``f`` must be a deterministic zero-argument closure over ``params``
     (tensors, or a dict of named tensors) returning a scalar Tensor.  When
-    ``max_entries_per_param`` is given, that many entries per parameter are
-    sampled (seeded via ``rng``) instead of sweeping every entry.  Every
-    parameter must be float64: float32 rounding swamps a central difference.
+    ``max_entries_per_param`` is given, that many entries per parameter (at
+    least one) are sampled (seeded via ``rng``) instead of sweeping every
+    entry.  Every parameter must be float64: float32 rounding swamps a
+    central difference.
     """
     if not 0.0 < eps <= 1e-2:
         raise ConfigurationError(f"eps {eps} outside (0, 1e-2]")
+    if max_entries_per_param is not None:
+        check_int("gradcheck entries per parameter", max_entries_per_param)
     named = dict(params) if isinstance(params, dict) else dict(enumerate(params))
     for name, p in named.items():
         if p.data.dtype != np.float64:

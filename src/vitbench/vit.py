@@ -237,10 +237,6 @@ class ViTClassifier(Model):
     def _final_norm(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.params["final_norm.gamma"], self.params["final_norm.beta"])
 
-    def encode_sequence(self, seq: Tensor) -> Tensor:
-        """Run the encoder stack and final norm on an embedded (…, T, D) sequence."""
-        return self._final_norm(self._blocks(seq))
-
     def _maybe_drop(self, x: Tensor) -> Tensor:
         if self.train_mode and self.config.dropout > 0.0:
             return T.dropout(x, self.config.dropout, self._drop_rng)
@@ -249,12 +245,7 @@ class ViTClassifier(Model):
     def forward_batch(self, images: np.ndarray) -> Tensor:
         """B x C x H x W batch -> B x num_classes logits, in one batched pass."""
         cfg = self.config
-        images = np.asarray(images, cfg.dtype)
-        if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
-            raise ConfigurationError(
-                f"image batch shape {images.shape} does not match config "
-                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})"
-            )
+        images = self.as_batch(images)
         patches = Tensor(partition_and_flatten(images, cfg.patch_size).reshape(-1, cfg.patch_dim))
         emb = embed_patches(patches, self.params["patch_proj.w"], self.params["patch_proj.b"])
         emb = T.reshape(emb, (len(images), cfg.num_patches, cfg.embed_dim))
@@ -268,9 +259,3 @@ class ViTClassifier(Model):
         """C x H x W image -> num_classes logits, through :meth:`forward_batch`."""
         return T.reshape(self.forward_batch(np.asarray(image)[None]),
                          (self.config.num_classes,))
-
-    def classify(self, image: np.ndarray):
-        """Deterministic inference: (probabilities, argmax label, lowest-index ties)."""
-        logits = self.forward_batch(np.asarray(image)[None])
-        probs = T.softmax(logits, axis=1).data[0]
-        return probs, int(np.argmax(probs))

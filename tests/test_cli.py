@@ -207,14 +207,47 @@ class TestBadInputs:
         self.expect_error(["finetune", tmp_path / "m.ckpt", manifest, "--config", cfg],
                           capsys, "run.cfg", "freeze-backbone", "maybe")
 
+    # each argv ends in the bad option and its value
     @pytest.mark.parametrize("argv", [
         ["gen-synthetic", "--seed", "-1"],
         ["split", "{manifest}", "--seed", "-1"],
-        ["pretrain", "{manifest}", "--seed", "-1", "--epochs", "1"],
+        ["pretrain", "{manifest}", "--epochs", "1", "--seed", "-1"],
+        ["gen-synthetic", "--noise", "-1"],
+        ["gen-synthetic", "--image-size", "-3"],
+        ["gen-synthetic", "--angle-offset", "nan"],
+        ["gen-synthetic", "--angle-offset", "inf"],
+        ["gen-synthetic", "--angle-offset", "-1"],
+        ["gen-synthetic", "--classes", "-1"],
+        ["gen-synthetic", "--per-class", "0"],
     ])
     def test_negative_seed(self, tmp_path, manifest, capsys, argv):
         argv = [a.format(manifest=manifest) for a in argv]
-        self.expect_error([*argv, "--out", tmp_path / "out"], capsys, "seed", ">= 0")
+        name = argv[-2][2:].replace("-", "_")
+        minimum = ">= 1" if name in ("classes", "image_size", "per_class") else ">= 0"
+        self.expect_error([*argv, "--out", tmp_path / "out"], capsys, name, minimum)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entries", ["0", "-1"])
+    def test_gradcheck_needs_one_entry_per_parameter(self, capsys, entries):
+        self.expect_error(["gradcheck", "--model", "resnet-mini",
+                           "--entries-per-param", entries], capsys, "entries per parameter")
+
+    def test_checkpoint_on_images_of_another_size(self, tmp_path, manifest, capsys):
+        model = make_model("resnet-mini", {"num_classes": 2, "image_size": 32})
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind=model.kind, config=model.config.to_dict(),
+                                   params=snapshot_params(model)), ckpt)
+        small = D.generate_synthetic(tmp_path / "small", "small", 2, 2, image_size=20)
+        self.expect_error(["evaluate", ckpt, small], capsys, "(B, 3, 32, 32)")
+        self.expect_error(["finetune", ckpt, small, "--epochs", "1", "--out", tmp_path / "ft"],
+                          capsys, "(B, 3, 32, 32)")
+
+    def test_manifest_of_mixed_image_sizes(self, tmp_path, manifest, capsys):
+        D.generate_synthetic(tmp_path / "d" / "small", "small", 2, 1, image_size=20)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("small/class0_0000.ppm\t0\n")
+        self.expect_error(["pretrain", manifest, "--epochs", "1", "--out", tmp_path / "out"],
+                          capsys, "has shape", "its batch started with shape")
 
 
 class TestCompare:
@@ -272,6 +305,15 @@ class TestConfigFile:
                     "--batch-size", "4", "--out", tmp_path / "out"]) == 0
         (tuned,) = models
         assert {tuned.params[n].requires_grad for n in tuned.backbone_names()} == {not frozen}
+
+    def test_percent_sign_is_read_as_written(self, tmp_path, manifest, monkeypatch):
+        monkeypatch.setattr(cli, "pretrain", lambda kind, model_config, data, cfg: Checkpoint(
+            kind=kind, config=model_config, params={}))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nout = 100%\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["pretrain", manifest, "--config", cfg]) == 0
+        assert (tmp_path / "100%" / "vit_d.ckpt").exists()
 
     def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys):
         # allow_abbrev=False also keeps a file key such as epoch from reading as --epochs

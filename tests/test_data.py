@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -159,41 +160,6 @@ class TestDecodeImage:
         assert np.allclose(out, img, atol=1e-12)
 
 
-class TestPreprocess:
-    def test_normalization_arithmetic(self):
-        img = np.full((3, 4, 4), 0.5)
-        out = D.preprocess(img, 4, [0.5] * 3, [0.5] * 3)
-        assert np.allclose(out, 0.0)
-
-    def test_bilinear_2x2_to_1x1_average(self):
-        img = np.array([[[0.0, 1.0], [0.2, 0.6]]])
-        out = D.bilinear_resize(img, 1)
-        assert out[0, 0, 0] == pytest.approx(np.mean([0.0, 1.0, 0.2, 0.6]))
-
-    def test_identity_when_matched(self):
-        rng = np.random.default_rng(3)
-        img = rng.random((3, 8, 8))
-        assert np.array_equal(D.bilinear_resize(img, 8), img)
-
-    def test_up_down_consistency_grid_aligned(self):
-        # 15 - 1 is a multiple of 8 - 1, so the original grid points are
-        # sampled exactly on the way back
-        rng = np.random.default_rng(4)
-        img = rng.random((3, 8, 8))
-        back = D.bilinear_resize(D.bilinear_resize(img, 15), 8)
-        assert np.max(np.abs(back - img)) < 1e-12
-
-    def test_up_down_consistency_smooth(self):
-        rng = np.random.default_rng(4)
-        img = D.bilinear_resize(rng.random((3, 3, 3)), 8)
-        back = D.bilinear_resize(D.bilinear_resize(img, 23), 8)
-        assert np.max(np.abs(back - img)) < 0.05
-
-    def test_nonpositive_std(self):
-        with pytest.raises(ConfigurationError):
-            D.preprocess(np.zeros((3, 4, 4)), 4, [0.5] * 3, [0.0] * 3)
-
-
 class TestAugment:
     def test_flip_involution(self):
         rng = np.random.default_rng(5)
@@ -332,6 +298,14 @@ class TestBatches:
         assert all(np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
         assert any(not np.array_equal(x.labels, y.labels) for x, y in zip(a, c))
 
+    def test_mixed_image_sizes_name_the_first_odd_file(self, tmp_path):
+        manifest = self.make_disk_manifest(tmp_path, 3)
+        (tmp_path / "b2.ppm").write_bytes(D.encode_ppm(np.zeros((3, 5, 5))))
+        with pytest.raises(FormatError, match=r"b2\.ppm has shape \(3, 5, 5\)"):
+            D.make_batches(manifest, 3, shuffle=False)
+        # in batches of two the odd image is a batch of its own
+        assert len(D.make_batches(manifest, 2, shuffle=False)) == 2
+
     def test_uncached_batches_see_a_rewritten_image(self, tmp_path):
         manifest = self.make_disk_manifest(tmp_path, 1)
         before = D.make_batches(manifest, 1, shuffle=False)[0].images[0]
@@ -384,10 +358,21 @@ class TestSynthetic:
         D.save_manifest(manifest, out)
         assert path.read_text() == out.read_text()
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
-    def test_bad_seed_is_configuration_error(self, tmp_path, seed):
-        with pytest.raises(ConfigurationError, match="seed"):
-            D.generate_synthetic(tmp_path, "bad", 2, 2, seed=seed)
+    BAD_ARGUMENTS = [
+        ("seed", -1), ("seed", 1.5), ("num_classes", -1), ("num_classes", 0),
+        ("per_class", 0), ("image_size", -3), ("image_size", 0), ("noise", -1.0),
+        ("noise", math.nan), ("angle_offset", -1.0), ("angle_offset", math.nan),
+        ("angle_offset", math.inf), ("angle_offset", 1e308), ("angle_offset", "0.5"),
+    ]
+
+    # a seed case is named by its value alone
+    @pytest.mark.parametrize("field, value", BAD_ARGUMENTS, ids=[
+        str(v) if f == "seed" else f"{f}={v!r}" for f, v in BAD_ARGUMENTS])
+    def test_bad_seed_is_configuration_error(self, tmp_path, field, value):
+        kwargs = {"num_classes": 2, "per_class": 2, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            D.generate_synthetic(tmp_path / "out", "bad", **kwargs)
+        assert not (tmp_path / "out").exists()
 
     def test_values_in_range(self, tmp_path):
         path = D.generate_synthetic(tmp_path, "rng", 3, 2, seed=13)

@@ -24,6 +24,7 @@ from vitbench.errors import (
 )
 from vitbench.tensor import Tensor
 from vitbench.train import (
+    MODEL_KINDS,
     Adam,
     ConfusionMatrix,
     MetricsRecord,
@@ -450,6 +451,14 @@ class TestMakeModel:
     def test_unknown_keys_are_named(self):
         with pytest.raises(ConfigurationError, match="bogus"):
             make_model("vit", {"num_classes": 2, "bogus": 1})
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("shape", [(2, 3, 16, 16), (2, 1, 32, 32), (3, 32, 32)],
+                             ids=["size", "channels", "rank"])
+    def test_forward_batch_refuses_a_batch_of_another_shape(self, kind, shape):
+        model = make_model(kind, {"num_classes": 2})
+        with pytest.raises(ConfigurationError, match=r"does not match config \(B, 3, 32, 32\)"):
+            model.forward_batch(np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_bad_seed_is_named(self, seed):

@@ -209,7 +209,7 @@ class TestEncoder:
                 p.data = np.zeros_like(p.data)
         rng = np.random.default_rng(12)
         seq = rng.normal(size=(model.config.seq_len, model.config.embed_dim))
-        out = model.encode_sequence(Tensor(seq))
+        out = model._final_norm(model._blocks(Tensor(seq)))
         expected = T.layer_norm(
             Tensor(seq), model.params["final_norm.gamma"], model.params["final_norm.beta"]
         )
@@ -219,7 +219,7 @@ class TestEncoder:
         model = desk_model(num_layers=0)
         rng = np.random.default_rng(13)
         seq = rng.normal(size=(model.config.seq_len, model.config.embed_dim))
-        out = model.encode_sequence(Tensor(seq))
+        out = model._final_norm(model._blocks(Tensor(seq)))
         expected = T.layer_norm(
             Tensor(seq), model.params["final_norm.gamma"], model.params["final_norm.beta"]
         )
@@ -230,7 +230,7 @@ class TestEncoder:
             model = desk_model(num_layers=layers, seed=layers)
             rng = np.random.default_rng(layers)
             seq = rng.normal(size=(model.config.seq_len, model.config.embed_dim))
-            out = model.encode_sequence(Tensor(seq))
+            out = model._final_norm(model._blocks(Tensor(seq)))
             assert out.shape == seq.shape
 
     def test_permutation_equivariance_without_positions(self):
@@ -245,7 +245,7 @@ class TestEncoder:
             emb = embed_patches(Tensor(p), model.params["patch_proj.w"],
                                 model.params["patch_proj.b"])
             seq = add_positional(emb, model.params["cls_token"], model.params["pos_table"])
-            return model.encode_sequence(seq).data
+            return model._final_norm(model._blocks(seq)).data
 
         base = pre_head(patches)
         permuted = pre_head(patches[perm])
@@ -326,8 +326,6 @@ class TestBatchFirst:
         batch = model.forward_batch(images).data
         for i, im in enumerate(images):
             assert np.max(np.abs(model.forward_logits(im).data - batch[i])) < 1e-12
-            _, label = model.classify(im)
-            assert label == int(np.argmax(batch[i]))
 
     def test_tape_length_independent_of_batch_size(self):
         model, images, labels = self._model_and_batch()
@@ -348,34 +346,12 @@ class TestBatchFirst:
 
 
 class TestClassify:
-    def test_probabilities_sum_to_one(self):
-        model = desk_model(seed=5)
-        rng = np.random.default_rng(15)
-        probs, label = model.classify(rng.random((3, 32, 32)))
-        assert abs(probs.sum() - 1.0) < 1e-6
-        assert 0 <= label < 3
-
-    def test_zero_head_uniform_tie_break(self):
-        model = desk_model(seed=6)
-        model.params["head.w"].data = np.zeros_like(model.params["head.w"].data)
-        model.params["head.b"].data = np.zeros_like(model.params["head.b"].data)
-        rng = np.random.default_rng(16)
-        probs, label = model.classify(rng.random((3, 32, 32)))
-        assert np.allclose(probs, 1.0 / 3.0)
-        assert label == 0
-
-    def test_size_mismatch(self):
-        model = desk_model()
-        with pytest.raises(ConfigurationError):
-            model.classify(np.zeros((3, 16, 16)))
-
     def test_deterministic(self):
         model = desk_model(seed=7)
         rng = np.random.default_rng(17)
-        img = rng.random((3, 32, 32))
-        p1, _ = model.classify(img)
-        p2, _ = model.classify(img)
-        assert np.array_equal(p1, p2)
+        images = rng.random((2, 3, 32, 32))
+        assert np.array_equal(model.forward_batch(images).data,
+                              model.forward_batch(images).data)
 
 
 class TestConfig:
