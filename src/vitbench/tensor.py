@@ -528,16 +528,67 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return np.ascontiguousarray(win[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3))
 
 
-def _col2im(cols: np.ndarray, x_shape, ph: int, pw: int, sh: int, sw: int):
-    b, c, h, w = x_shape
-    _, _, kh, kw, ho, wo = cols.shape
-    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols[:, :, i, j]
+def _int_pair(name: str, value, minimum: int) -> tuple:
+    """``value``, an int or a pair of ints, as a pair; raise
+    :class:`ConfigurationError` unless each is an int >= ``minimum``."""
+    pair = value if isinstance(value, (tuple, list)) else (value, value)
+    if len(pair) != 2:
+        raise ConfigurationError(f"{name} must be an integer or a pair of integers, got {value!r}")
+    for v in pair:
+        check_int(name, v, minimum)
+    return tuple(pair)
+
+
+def _conv2d_input_grad(g: np.ndarray, kernel: np.ndarray, x_shape, stride, padding,
+                       groups: int) -> np.ndarray:
+    """conv2d's ``dx`` from its output gradient ``g``, as per-tap GEMMs on
+    wide rows, one stride phase of the padded input at a time.
+
+    Tap (i, j) reaches only the phase ``dxp[:, :, a::sh, c::sw]`` with
+    (a, c) = (i % sh, j % sw).  Laid out flat in rows of the phase width Wq,
+    its contribution is one contiguous run of n = (Ho-1)*Wq + Wo elements per
+    channel at offset (i//sh)*Wq + j//sw, so ``g`` padded with zero columns
+    to width Wq ("wide rows") turns the tap into one GEMM and one add.  The
+    zero columns carry the run across each row's end.  At stride 1 the one
+    phase is ``dxp`` itself.
+    """
+    b, cin, h, w = x_shape
+    cout, cg, kh, kw = kernel.shape
+    _, _, ho, wo = g.shape
+    (sh, sw), (ph, pw) = stride, padding
+    og = cout // groups
+    dxp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw), g.dtype)
+    # per tap, the (G, Og, Cg) kernel slice, contiguous so its transpose
+    # goes to BLAS
+    taps = np.ascontiguousarray(kernel.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2))
+    wide = {}  # phase width -> g on rows of that width, (B, G, Og, Ho*Wq)
+    for a in range(min(sh, kh)):
+        for c in range(min(sw, kw)):
+            phase = dxp[:, :, a::sh, c::sw]
+            hq, wq = phase.shape[2:]
+            if wq not in wide:
+                gw = g
+                if wq != wo:
+                    gw = np.zeros((b, cout, ho, wq), g.dtype)
+                    gw[..., :wo] = g
+                wide[wq] = gw.reshape(b, groups, og, ho * wq)
+            gw = wide[wq]
+            n = (ho - 1) * wq + wo
+            if sh == sw == 1:
+                acc = dxp.reshape(b, groups, cg, hq * wq)
+            else:
+                acc = np.zeros((b, groups, cg, hq * wq), g.dtype)
+            prod = np.empty((b, groups, cg, n), g.dtype)
+            for i in range(a, kh, sh):
+                for j in range(c, kw, sw):
+                    o = (i // sh) * wq + j // sw
+                    np.matmul(taps[i, j].swapaxes(-1, -2), gw[..., :n], out=prod)
+                    acc[..., o : o + n] += prod
+            if sh > 1 or sw > 1:
+                phase[...] = acc.reshape(b, cin, hq, wq)
     if ph or pw:
-        return xp[:, :, ph : ph + h, pw : pw + w]
-    return xp
+        return dxp[:, :, ph : ph + h, pw : pw + w]
+    return dxp
 
 
 def conv2d(
@@ -549,15 +600,17 @@ def conv2d(
 ) -> Tensor:
     """Strided zero-padded cross-correlation (no kernel flip), with groups.
 
-    Lowered to one batched GEMM over im2col columns for every ``groups``
-    value: the columns are viewed as (B, G, Cg*kh*kw, Ho*Wo) and the kernel
-    as (G, Og, Cg*kh*kw), so plain, grouped and depthwise convolution share
-    one ``np.matmul`` forward and two in backward.
+    ``stride`` (each >= 1) and ``padding`` (each >= 0) are ints or pairs of
+    ints; anything else is a :class:`ConfigurationError`.  The forward and
+    the kernel gradient are one batched GEMM each over the im2col columns:
+    the columns are viewed as (B, G, Cg*kh*kw, Ho*Wo) and the kernel as
+    (G, Og, Cg*kh*kw), so plain, grouped and depthwise convolution share
+    the code.  The input gradient is per-tap GEMMs on wide rows, one stride
+    phase at a time (see :func:`_conv2d_input_grad`), with no column buffer.
     """
-    if isinstance(stride, int):
-        stride = (stride, stride)
-    if isinstance(padding, int):
-        padding = (padding, padding)
+    stride = _int_pair("conv2d stride", stride, 1)
+    padding = _int_pair("conv2d padding", padding, 0)
+    check_int("conv2d groups", groups)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(
             f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}"
@@ -566,7 +619,7 @@ def conv2d(
     cout, ck, kh, kw = kernel.shape
     sh, sw = stride
     ph, pw = padding
-    if groups < 1 or cin % groups or cout % groups:
+    if cin % groups or cout % groups:
         raise ConfigurationError(
             f"groups={groups} must divide Cin={cin} and Cout={cout}"
         )
@@ -591,12 +644,11 @@ def conv2d(
     def bw(g):
         # backward drops gradients of inputs that need none (the images
         # entering the first conv), so they are not computed
-        g4 = g.reshape(b, groups, cout // groups, ho * wo)
         dx = dk = None
         if x.requires_grad:
-            dcols = np.matmul(k3.swapaxes(-1, -2), g4).reshape(cols.shape)
-            dx = _col2im(dcols, x.shape, ph, pw, sh, sw)
+            dx = _conv2d_input_grad(g, kernel.data, x.shape, stride, padding, groups)
         if kernel.requires_grad:
+            g4 = g.reshape(b, groups, cout // groups, ho * wo)
             dk = np.matmul(g4, c4.swapaxes(-1, -2)).sum(axis=0).reshape(kernel.shape)
         return [(x, dx), (kernel, dk)]
 

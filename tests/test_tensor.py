@@ -124,15 +124,51 @@ def _conv2d_loop(x, k, stride, padding, groups):
     return y
 
 
+def _conv2d_loop_dx(g, k, x_shape, stride, padding, groups):
+    """Plain nested-loop scatter-add of the output gradient ``g`` back onto
+    the input: the adjoint of :func:`_conv2d_loop`, the reference for
+    conv2d's input gradient."""
+    b, cin, h, w = x_shape
+    cout, cg, kh, kw = k.shape
+    (sh, sw), (ph, pw) = stride, padding
+    _, _, ho, wo = g.shape
+    og = cout // groups
+    dxp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw))
+    for n in range(b):
+        for o in range(cout):
+            c0 = (o // og) * cg
+            for r in range(ho):
+                for c in range(wo):
+                    for ci in range(cg):
+                        for i in range(kh):
+                            for j in range(kw):
+                                dxp[n, c0 + ci, r * sh + i, c * sw + j] += g[n, o, r, c] * k[o, ci, i, j]
+    return dxp[:, :, ph:ph + h, pw:pw + w]
+
+
+# x shape, kernel shape, stride, padding, groups
+_CONV_CASES = [
+    ((2, 3, 6, 7), (4, 3, 2, 3), (1, 1), (0, 0), 1),   # rectangular kernel
+    ((2, 3, 7, 5), (5, 3, 3, 3), (2, 2), (1, 1), 1),
+    ((2, 4, 6, 7), (6, 2, 3, 2), (2, 2), (1, 1), 2),   # groups=2, Og=3
+    ((1, 4, 5, 6), (4, 2, 2, 3), (1, 1), (0, 0), 2),
+    ((2, 3, 6, 5), (3, 1, 3, 3), (1, 1), (1, 1), 3),   # depthwise
+    ((2, 3, 7, 6), (6, 1, 2, 3), (1, 2), (1, 0), 3),   # depthwise, multiplier 2
+]
+
+# the input gradient's stride phases: some no tap hits, and phases of
+# unequal widths
+_CONV_DX_CASES = _CONV_CASES + [
+    ((2, 3, 7, 6), (4, 3, 1, 1), (2, 2), (0, 0), 1),   # 1x1 at stride 2
+    ((2, 2, 8, 7), (3, 2, 2, 2), (3, 3), (1, 0), 1),   # 2x2 at stride 3
+    ((2, 3, 8, 9), (4, 3, 3, 3), (2, 3), (1, 1), 1),   # 10x11 padded, stride (2, 3)
+    ((2, 3, 6, 7), (4, 3, 3, 3), (1, 1), (1, 0), 1),   # padding (1, 0)
+    ((2, 3, 7, 8), (6, 1, 3, 3), (2, 2), (1, 1), 3),   # depthwise, multiplier 2
+]
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", [
-        ((2, 3, 6, 7), (4, 3, 2, 3), (1, 1), (0, 0), 1),   # rectangular kernel
-        ((2, 3, 7, 5), (5, 3, 3, 3), (2, 2), (1, 1), 1),
-        ((2, 4, 6, 7), (6, 2, 3, 2), (2, 2), (1, 1), 2),   # groups=2, Og=3
-        ((1, 4, 5, 6), (4, 2, 2, 3), (1, 1), (0, 0), 2),
-        ((2, 3, 6, 5), (3, 1, 3, 3), (1, 1), (1, 1), 3),   # depthwise
-        ((2, 3, 7, 6), (6, 1, 2, 3), (1, 2), (1, 0), 3),   # depthwise, multiplier 2
-    ])
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", _CONV_CASES)
     def test_matches_loop_reference(self, x_shape, k_shape, stride, padding, groups):
         rng = np.random.default_rng(11)
         x = rng.normal(size=x_shape)
@@ -141,6 +177,40 @@ class TestConv2d:
         ref = _conv2d_loop(x, k, stride, padding, groups)
         assert y.shape == ref.shape
         assert np.max(np.abs(y.data - ref)) < 1e-12
+
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", _CONV_DX_CASES)
+    def test_input_gradient_matches_loop_reference(self, x_shape, k_shape, stride, padding,
+                                                   groups):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        k = rng.normal(size=k_shape)
+        with Tape() as tape:
+            y = T.conv2d(x, Tensor(k), stride=stride, padding=padding, groups=groups)
+            g = rng.normal(size=y.shape)
+            loss = T.tsum(T.mul(y, Tensor(g)))
+        backward(loss, tape)
+        ref = _conv2d_loop_dx(g, k, x_shape, stride, padding, groups)
+        assert np.max(np.abs(x.grad - ref)) < 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 0},
+        {"stride": (1, 0)},
+        {"stride": 1.5},
+        {"stride": (2,)},
+        {"stride": True},
+        {"padding": -1},
+        {"padding": (0, -1)},
+        {"padding": (1,)},
+        {"padding": 1.0},
+        {"padding": True},
+        {"groups": True},
+        {"groups": 1.0},
+    ])
+    def test_bad_arguments_are_configuration_errors(self, kwargs):
+        x = Tensor(np.zeros((1, 2, 8, 8)))
+        k = Tensor(np.zeros((2, 2, 3, 3)))
+        with pytest.raises(ConfigurationError):
+            T.conv2d(x, k, **kwargs)
 
     def test_grouped_strided_padded_gradient(self):
         rng = np.random.default_rng(12)
@@ -570,6 +640,9 @@ _FLOAT32_CASES = {
     "conv2d_groups_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 2, 3, 3), padding=1, groups=2),
     "conv2d_depthwise": lambda x: T.conv2d(x(2, 4, 6, 6), x(4, 1, 3, 3), stride=2,
                                            padding=1, groups=4),
+    "conv2d_1x1_stride_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 4, 1, 1), stride=2),
+    "conv2d_stride_2_3": lambda x: T.conv2d(x(2, 3, 7, 8), x(4, 3, 3, 3), stride=(2, 3),
+                                            padding=1),
     "max_pool2d": lambda x: T.max_pool2d(x(2, 3, 4, 4), 2),
     "global_avg_pool": lambda x: T.global_avg_pool(x(2, 3, 4, 4)),
 }
