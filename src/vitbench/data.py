@@ -3,7 +3,8 @@ split, deterministic batching, and synthetic dataset generation.
 
 A manifest is a line-oriented UTF-8 text file: comment-style header lines
 (``#classes: a,b,c`` is mandatory, ``#name:`` / ``#note:`` optional),
-then one ``relative/path<TAB>label_id`` entry per line.  Entry paths are
+then one ``relative/path<TAB>label_id`` entry per line.  A label id is
+ASCII decimal digits and a class name is non-empty.  Entry paths are
 resolved relative to the manifest's directory.
 """
 
@@ -13,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -79,6 +81,8 @@ def load_manifest(path) -> DatasetManifest:
             continue
         if line.startswith("#classes:"):
             class_names = [c.strip() for c in line[len("#classes:"):].split(",")]
+            if "" in class_names:
+                raise FormatError(f"{path}:{lineno}: empty class name in {line!r}")
         elif line.startswith("#name:"):
             name = line[len("#name:"):].strip()
         elif line.startswith("#note:"):
@@ -89,11 +93,10 @@ def load_manifest(path) -> DatasetManifest:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 'path<TAB>label'")
-            try:
-                label = int(parts[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: label {parts[1]!r} is not an integer")
-            entries.append((parts[0], label))
+            # int() would also take "0_1", " +1 " and non-ASCII digits
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise FormatError(f"{path}:{lineno}: label {parts[1]!r} is not a decimal integer")
+            entries.append((parts[0], int(parts[1])))
     if class_names is None:
         raise FormatError(f"{path}: missing '#classes:' header")
     manifest = DatasetManifest(
@@ -155,8 +158,10 @@ def _parse_pnm_header(data: bytes, magic: bytes):
 _PNM = {"ppm": (b"P6", 3), "pgm": (b"P5", 1)}
 
 
-def decode_image(data: bytes, fmt: str) -> np.ndarray:
-    """Decode bytes to a channels x H x W float image in [0, 1]."""
+def decode_image(data: bytes, fmt: str, dtype=np.float64) -> np.ndarray:
+    """Decode bytes to a channels x H x W image in [0, 1] of ``dtype``.
+    A float32 decode holds the same bits as a float64 decode cast to
+    float32."""
     if fmt in _PNM:
         magic, c = _PNM[fmt]
         w, h, off = _parse_pnm_header(data, magic)
@@ -165,7 +170,9 @@ def decode_image(data: bytes, fmt: str) -> np.ndarray:
         if len(raw) < need:
             raise FormatError(f"truncated {fmt.upper()} payload: {len(raw)} of {need} bytes")
         arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, c)
-        return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+        # one correctly rounded divide; for every byte value its float32
+        # result equals the float64 quotient rounded to float32
+        return np.divide(arr.transpose(2, 0, 1), 255, dtype=dtype)
     if fmt == "tnsr":
         arr = tnsr_decode(data)
         if arr.ndim != 3:
@@ -178,7 +185,7 @@ def decode_image(data: bytes, fmt: str) -> np.ndarray:
             raise RangeError(
                 f"TNSR image values outside [0,1]: min {arr.min()}, max {arr.max()}"
             )
-        return arr.astype(np.float64)
+        return arr.astype(dtype)
     raise FormatError(f"unknown image format {fmt!r}")
 
 
@@ -193,12 +200,12 @@ def encode_ppm(img: np.ndarray) -> bytes:
 _EXT_FORMATS = {".ppm": "ppm", ".pgm": "pgm", ".tnsr": "tnsr"}
 
 
-def load_image(path) -> np.ndarray:
+def load_image(path, dtype=np.float64) -> np.ndarray:
     path = Path(path)
     fmt = _EXT_FORMATS.get(path.suffix.lower())
     if fmt is None:
         raise FormatError(f"unsupported image extension {path.suffix!r}")
-    return decode_image(path.read_bytes(), fmt)
+    return decode_image(path.read_bytes(), fmt, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +342,18 @@ class Batch:
 
 
 class ImageCache:
-    """Caches decoded images by absolute path."""
+    """Decoded images keyed by (path, dtype), each decoded once through
+    :func:`load_image`.  A cached array is shared: :func:`make_batches`
+    copies it into its batch array, and no caller may write to it."""
 
     def __init__(self):
-        self._cache: dict[Path, np.ndarray] = {}
+        self._cache: dict[tuple[Path, np.dtype], np.ndarray] = {}
 
-    def get(self, path: Path) -> np.ndarray:
-        path = Path(path)
-        if path not in self._cache:
-            self._cache[path] = load_image(path)
-        return self._cache[path]
+    def get(self, path: Path, dtype=np.float64) -> np.ndarray:
+        key = (Path(path), np.dtype(dtype))
+        if key not in self._cache:
+            self._cache[key] = load_image(path, dtype)
+        return self._cache[key]
 
 
 def make_batches(
@@ -355,10 +364,17 @@ def make_batches(
     epoch: int = 0,
     cache: ImageCache | None = None,
     augment_cfg: AugmentConfig | None = None,
-) -> list[Batch]:
-    """Deterministic batches; the final partial batch is kept.  Without a
-    ``cache`` every image is decoded from disk.  An image whose shape
-    differs from its batch's first is a :class:`FormatError`."""
+    dtype=np.float64,
+) -> Iterator[Batch]:
+    """Deterministic batches, decoded one batch at a time as they are
+    iterated; the final partial batch is kept.
+
+    ``batch_size`` and an empty manifest are checked here, when the call
+    is made.  The returned generator then decodes each batch into one
+    fresh (B, C, H, W) array of ``dtype``, so a pass holds one batch, not
+    all of them.  Without a ``cache`` every image is decoded from disk.
+    An image whose shape differs from its batch's first is a
+    :class:`FormatError`, raised when that batch is reached."""
     check_int("batch_size", batch_size)
     if not manifest.entries:
         raise EmptyDatasetError(f"manifest {manifest.name!r} has no entries")
@@ -367,23 +383,27 @@ def make_batches(
     rng = np.random.default_rng([seed, epoch])
     if shuffle:
         rng.shuffle(order)
-    batches = []
-    for start in range(0, len(order), batch_size):
-        idxs = order[start:start + batch_size]
-        imgs = []
-        labels = []
-        for i in idxs:
-            rel, lab = manifest.entries[i]
-            img = load(manifest.resolve(rel))
-            if augment_cfg is not None and augment_cfg.enabled:
-                img = augment(img, augment_cfg, rng)
-            if imgs and img.shape != imgs[0].shape:
-                raise FormatError(f"image {manifest.resolve(rel)} has shape {img.shape}, "
-                                  f"but its batch started with shape {imgs[0].shape}")
-            imgs.append(img)
-            labels.append(lab)
-        batches.append(Batch(np.stack(imgs), np.array(labels, dtype=np.int64)))
-    return batches
+    augmenting = augment_cfg is not None and augment_cfg.enabled
+
+    def stream():
+        for start in range(0, len(order), batch_size):
+            idxs = order[start:start + batch_size]
+            images = None
+            for k, i in enumerate(idxs):
+                path = manifest.resolve(manifest.entries[i][0])
+                img = load(path, dtype)
+                if augmenting:
+                    img = augment(img, augment_cfg, rng)
+                if images is None:
+                    images = np.empty((len(idxs),) + img.shape, dtype)
+                elif img.shape != images.shape[1:]:
+                    raise FormatError(f"image {path} has shape {img.shape}, but its "
+                                      f"batch started with shape {images.shape[1:]}")
+                images[k] = img
+            labels = np.array([manifest.entries[i][1] for i in idxs], dtype=np.int64)
+            yield Batch(images, labels)
+
+    return stream()
 
 
 # ---------------------------------------------------------------------------

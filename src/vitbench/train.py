@@ -172,12 +172,14 @@ def _dataset_name(manifest: D.DatasetManifest) -> str:
 def evaluate(model, manifest: D.DatasetManifest,
              cache: D.ImageCache | None = None,
              epoch: int = 0, split: str = "val"):
-    """Deterministic inference pass -> (MetricsRecord, ConfusionMatrix)."""
+    """Deterministic inference pass -> (MetricsRecord, ConfusionMatrix).
+    Batches of 64 stream in the model's dtype: one is decoded at a time."""
     if not manifest.entries:
         raise EmptyDatasetError(f"cannot evaluate on empty manifest {manifest.name!r}")
     cm = ConfusionMatrix(manifest.num_classes)
     total_loss = 0.0
-    batches = D.make_batches(manifest, batch_size=64, shuffle=False, cache=cache)
+    batches = D.make_batches(manifest, batch_size=64, shuffle=False, cache=cache,
+                             dtype=model.config.dtype)
     n = 0
     for batch in batches:
         logits = model.forward_batch(batch.images)
@@ -198,11 +200,20 @@ def train(model, train_manifest: D.DatasetManifest,
           cache: D.ImageCache | None = None,
           stop_at_train_acc: float | None = None) -> list[MetricsRecord]:
     """Epoch loop: shuffled batches, cross-entropy, backward, Adam step,
-    then one validation pass per epoch.  Adam updates exactly the
+    then one validation pass per epoch.  Every training and validation
+    image is decoded into ``cache`` before the first step, and batches
+    stream from it in the model's dtype.  Adam updates exactly the
     parameters with ``requires_grad``; the rest stay as they are."""
     if not train_manifest.entries:
         raise EmptyDatasetError("training manifest is empty")
     cache = cache or D.ImageCache()
+    # decode every training and validation image once, before the first
+    # step: the cache holds them all after one epoch anyway, and images
+    # decoded between steps leave long-lived arrays among the steps' freed
+    # buffers, which fragments the heap and raises peak memory
+    for manifest in filter(None, (train_manifest, val_manifest)):
+        for rel, _ in manifest.entries:
+            cache.get(manifest.resolve(rel), model.config.dtype)
     opt = Adam({k: p for k, p in model.params.items() if p.requires_grad}, lr=cfg.lr)
     history: list[MetricsRecord] = []
     model.train_mode = True
@@ -211,6 +222,7 @@ def train(model, train_manifest: D.DatasetManifest,
             batches = D.make_batches(
                 train_manifest, cfg.batch_size, seed=cfg.seed, shuffle=True,
                 epoch=epoch, cache=cache, augment_cfg=cfg.augment,
+                dtype=model.config.dtype,
             )
             epoch_loss = 0.0
             correct = 0

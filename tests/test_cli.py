@@ -249,6 +249,31 @@ class TestBadInputs:
         self.expect_error(["pretrain", manifest, "--epochs", "1", "--out", tmp_path / "out"],
                           capsys, "has shape", "its batch started with shape")
 
+    def test_odd_image_after_the_first_batch(self, tmp_path, capsys, monkeypatch):
+        """Batches stream, so the 70th image's other size is found after
+        the first batch of 64 has run forward."""
+        data = D.generate_synthetic(tmp_path / "d", "d", 3, 30, seed=1)
+        rel = D.load_manifest(data).entries[69][0]
+        D.generate_synthetic(tmp_path / "small", "small", 1, 1, image_size=20)
+        (tmp_path / "d" / rel).write_bytes((tmp_path / "small" / "class0_0000.ppm").read_bytes())
+        model = make_model("vit", {"num_classes": 3})
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind=model.kind, config=model.config.to_dict(),
+                                   params=snapshot_params(model)), ckpt)
+        forwards = []
+        forward = type(model).forward_batch
+
+        def counting(self, images):
+            forwards.append(len(images))
+            return forward(self, images)
+
+        monkeypatch.setattr(type(model), "forward_batch", counting)
+        assert run(["evaluate", ckpt, data]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:"), err
+        assert rel in err and "has shape (3, 20, 20)" in err
+        assert forwards == [64]
+
 
 class TestCompare:
     def test_summary_and_csv_footer_agree_on_a_tie(self, tmp_path, monkeypatch):

@@ -68,6 +68,24 @@ class TestManifest:
         with pytest.raises(FormatError, match="bytes.manifest"):
             D.load_manifest(path)
 
+    # int() reads each of these as a label; only ASCII digits are one
+    @pytest.mark.parametrize("label", ["0_1", "\u0661", " +1 ", "+1", "-0", "\uff11"])
+    def test_label_must_be_ascii_digits(self, tmp_path, label):
+        (tmp_path / "x.ppm").write_bytes(D.encode_ppm(np.zeros((3, 2, 2))))
+        path = tmp_path / "label.manifest"
+        path.write_text(f"#classes: a,b\nx.ppm\t{label}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"label\.manifest:2: label .* decimal"):
+            D.load_manifest(path)
+
+    @pytest.mark.parametrize("header", ["#classes: a,,b", "#classes: a,b,",
+                                        "#classes:", "#classes: a, ,b"])
+    def test_class_names_must_be_non_empty(self, tmp_path, header):
+        (tmp_path / "x.ppm").write_bytes(D.encode_ppm(np.zeros((3, 2, 2))))
+        path = tmp_path / "names.manifest"
+        path.write_text(f"#name: n\n{header}\nx.ppm\t0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"names\.manifest:2: empty class name"):
+            D.load_manifest(path)
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "fmt.manifest"
         path.write_text("#classes: a\nonly-one-field\n")
@@ -274,13 +292,13 @@ class TestBatches:
 
     def test_150_at_75(self, tmp_path):
         manifest = self.make_disk_manifest(tmp_path, 150)
-        batches = D.make_batches(manifest, 75, seed=0)
+        batches = list(D.make_batches(manifest, 75, seed=0))
         assert len(batches) == 2
         assert all(len(b.labels) == 75 for b in batches)
 
     def test_partial_batch_kept(self, tmp_path):
         manifest = self.make_disk_manifest(tmp_path, 10)
-        batches = D.make_batches(manifest, 75, seed=0)
+        batches = list(D.make_batches(manifest, 75, seed=0))
         assert len(batches) == 1
         assert len(batches[0].labels) == 10
 
@@ -292,9 +310,9 @@ class TestBatches:
 
     def test_deterministic_per_seed_epoch(self, tmp_path):
         manifest = self.make_disk_manifest(tmp_path, 20)
-        a = D.make_batches(manifest, 6, seed=3, epoch=1)
-        b = D.make_batches(manifest, 6, seed=3, epoch=1)
-        c = D.make_batches(manifest, 6, seed=3, epoch=2)
+        a = list(D.make_batches(manifest, 6, seed=3, epoch=1))
+        b = list(D.make_batches(manifest, 6, seed=3, epoch=1))
+        c = list(D.make_batches(manifest, 6, seed=3, epoch=2))
         assert all(np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
         assert any(not np.array_equal(x.labels, y.labels) for x, y in zip(a, c))
 
@@ -302,25 +320,78 @@ class TestBatches:
         manifest = self.make_disk_manifest(tmp_path, 3)
         (tmp_path / "b2.ppm").write_bytes(D.encode_ppm(np.zeros((3, 5, 5))))
         with pytest.raises(FormatError, match=r"b2\.ppm has shape \(3, 5, 5\)"):
-            D.make_batches(manifest, 3, shuffle=False)
+            list(D.make_batches(manifest, 3, shuffle=False))
         # in batches of two the odd image is a batch of its own
-        assert len(D.make_batches(manifest, 2, shuffle=False)) == 2
+        assert len(list(D.make_batches(manifest, 2, shuffle=False))) == 2
+
+    def test_odd_image_fails_when_its_batch_is_reached(self, tmp_path):
+        manifest = self.make_disk_manifest(tmp_path, 5)
+        (tmp_path / "b3.ppm").write_bytes(D.encode_ppm(np.zeros((3, 5, 5))))
+        batches = D.make_batches(manifest, 2, shuffle=False)
+        first = next(batches)
+        assert first.labels.tolist() == [0, 1] and first.images.shape == (2, 3, 4, 4)
+        with pytest.raises(FormatError, match=r"b3\.ppm has shape"):
+            next(batches)
 
     def test_uncached_batches_see_a_rewritten_image(self, tmp_path):
         manifest = self.make_disk_manifest(tmp_path, 1)
-        before = D.make_batches(manifest, 1, shuffle=False)[0].images[0]
+        before = list(D.make_batches(manifest, 1, shuffle=False))[0].images[0]
         (tmp_path / "b0.ppm").write_bytes(D.encode_ppm(1.0 - before))
-        after = D.make_batches(manifest, 1, shuffle=False)[0].images[0]
+        after = list(D.make_batches(manifest, 1, shuffle=False))[0].images[0]
         assert np.array_equal(after, D.decode_image(D.encode_ppm(1.0 - before), "ppm"))
         assert not np.array_equal(after, before)
 
     def test_cache_serves_the_first_decode(self, tmp_path):
         manifest = self.make_disk_manifest(tmp_path, 1)
         cache = D.ImageCache()
-        before = D.make_batches(manifest, 1, shuffle=False, cache=cache)[0].images[0]
+        before = list(D.make_batches(manifest, 1, shuffle=False, cache=cache))[0].images[0]
         (tmp_path / "b0.ppm").write_bytes(D.encode_ppm(1.0 - before))
-        again = D.make_batches(manifest, 1, shuffle=False, cache=cache)[0].images[0]
+        again = list(D.make_batches(manifest, 1, shuffle=False, cache=cache))[0].images[0]
         assert np.array_equal(again, before)
+
+    def dtype_manifest(self, tmp_path):
+        """A PPM holding every byte value and a TNSR image, both 3x16x16,
+        and their float64 decodes worked out without ``decode_image``."""
+        raw = (np.arange(3 * 16 * 16) % 256).astype(np.uint8)
+        (tmp_path / "bytes.ppm").write_bytes(b"P6\n16 16\n255\n" + raw.tobytes())
+        values = np.random.default_rng(10).random((3, 16, 16))
+        (tmp_path / "values.tnsr").write_bytes(tnsr_encode(values))
+        manifest = D.DatasetManifest(
+            name="dtypes", class_names=["a", "b"],
+            entries=[("bytes.ppm", 0), ("values.tnsr", 1)], root=tmp_path,
+        )
+        ppm = raw.reshape(16, 16, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+        return manifest, np.stack([ppm, values])
+
+    @pytest.mark.parametrize("augment_cfg", [
+        None, D.AugmentConfig(crop_pad=3, flip_p=0.5, rotate=True),
+    ], ids=["plain", "augmented"])
+    def test_float32_pass_is_the_float64_pass_cast(self, tmp_path, augment_cfg):
+        manifest, _ = self.dtype_manifest(tmp_path)
+        for epoch in range(4):
+            (b32,) = D.make_batches(manifest, 2, seed=5, epoch=epoch,
+                                    augment_cfg=augment_cfg, dtype="float32")
+            (b64,) = D.make_batches(manifest, 2, seed=5, epoch=epoch,
+                                    augment_cfg=augment_cfg, dtype="float64")
+            assert b32.images.dtype == np.float32
+            assert b32.images.tobytes() == b64.images.astype(np.float32).tobytes()
+            assert np.array_equal(b32.labels, b64.labels)
+
+    def test_float64_pass_is_unchanged(self, tmp_path):
+        manifest, expected = self.dtype_manifest(tmp_path)
+        for dtype in (np.float64, "float64"):
+            (batch,) = D.make_batches(manifest, 2, shuffle=False, dtype=dtype)
+            assert batch.images.dtype == np.float64
+            assert batch.images.tobytes() == expected.tobytes()
+
+    def test_cache_keeps_one_decode_per_dtype(self, tmp_path):
+        manifest, expected = self.dtype_manifest(tmp_path)
+        cache = D.ImageCache()
+        path = manifest.resolve("bytes.ppm")
+        f32 = cache.get(path, "float32")
+        assert cache.get(path, np.float32) is f32
+        assert f32.dtype == np.float32 and cache.get(path).dtype == np.float64
+        assert f32.tobytes() == expected[0].astype(np.float32).tobytes()
 
     def test_empty_manifest(self):
         manifest = in_memory_manifest([])

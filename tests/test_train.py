@@ -1,4 +1,5 @@
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +206,61 @@ class TestEvaluate:
         model = make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=0)
         with pytest.raises(EmptyDatasetError):
             evaluate(model, manifest)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_holds_at_most_one_earlier_batch(self, tmp_path, dtype):
+        """``evaluate`` streams its batches in the model's dtype: while a
+        batch runs forward, at most one batch before it is still alive."""
+        rng = np.random.default_rng(2)
+        entries = []
+        for i in range(200):  # four batches of 64, 64, 64 and 8
+            (tmp_path / f"e{i}.ppm").write_bytes(D.encode_ppm(rng.random((3, 4, 4))))
+            entries.append((f"e{i}.ppm", i % 2))
+        manifest = D.DatasetManifest(name="stream", class_names=["a", "b"],
+                                     entries=entries, root=tmp_path)
+
+        class Recording:
+            kind = "recording"
+            config = ViTConfig(dtype=dtype)
+
+            def __init__(self):
+                self.seen = []
+                self.earlier_alive = []
+
+            def forward_batch(self, images):
+                assert images.dtype == np.dtype(dtype)
+                self.earlier_alive.append(sum(ref() is not None for ref in self.seen))
+                self.seen.append(weakref.ref(images))
+                return Tensor(np.zeros((len(images), 2), images.dtype))
+
+        model = Recording()
+        record, cm = evaluate(model, manifest)
+        assert cm.total == 200 and len(model.seen) == 4
+        assert max(model.earlier_alive) <= 1, model.earlier_alive
+
+    def test_train_streams_batches_in_the_model_dtype(self, tiny_task, monkeypatch):
+        """``train`` decodes in the model's dtype, and decodes each training
+        and validation image once, before its first step."""
+        model = make_model("vit", {"num_classes": 3, "dtype": "float32"}, seed=0)
+        events = []
+        forward, load = model.forward_batch, D.load_image
+
+        def recording(images):
+            events.append(images.dtype)
+            return forward(images)
+
+        def recording_load(path, dtype):
+            events.append("load")
+            return load(path, dtype)
+
+        model.forward_batch = recording
+        monkeypatch.setattr(D, "load_image", recording_load)
+        tr, va, _ = D.split_dataset(tiny_task, D.SplitSpec(ratios=(0.5, 0.5, 0.0)))
+        train(model, tr, va, TrainConfig(epochs=2, batch_size=4, seed=0))
+        # six training and six validation images, then per epoch two
+        # training batches and one validation batch
+        assert events == ["load"] * 12 + [np.float32] * 6
+
 
 
 class TestCheckpoint:
