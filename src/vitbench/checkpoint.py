@@ -64,7 +64,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read an OVCK file; any malformed content raises :class:`FormatError`."""
+    """Read an OVCK file.  Malformed content, or a parameter holding a
+    non-finite value, raises :class:`FormatError`."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise FormatError(f"bad checkpoint magic {data[:4]!r}")
@@ -92,6 +93,8 @@ def load_checkpoint(path) -> Checkpoint:
             name = take(name_len).decode("utf-8")
             (blob_len,) = struct.unpack("<I", take(4))
             params[name] = tnsr_decode(take(blob_len))
+            if not np.isfinite(params[name]).all():
+                raise FormatError(f"checkpoint parameter {name!r} holds non-finite values")
     # text that is not UTF-8, metadata that is not JSON, or JSON nested
     # deeper than the parser's recursion limit
     except (ValueError, RecursionError) as exc:
@@ -108,27 +111,20 @@ def snapshot_params(model) -> dict:
     return {name: t.data.copy() for name, t in model.params.items()}
 
 
-def load_params_into(model, params: dict, names=None) -> None:
-    """Load arrays into a model's parameters, validating the name set.
-
-    When ``names`` is given only that subset is loaded (and validated);
-    otherwise the full name sets must match exactly.
-    """
-    if names is None:
-        expected = set(model.params)
-        got = set(params)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValidationError(
-                f"parameter name mismatch: missing {missing}, extra {extra}"
-            )
-        names = expected
-    for name in names:
-        if name not in params:
-            raise ValidationError(f"checkpoint lacks parameter {name!r}")
+def load_params_into(model, params: dict) -> None:
+    """Load arrays into every parameter of a model.  The name sets must
+    match exactly, and each array must have its parameter's shape; any
+    mismatch is a :class:`ValidationError`."""
+    expected = set(model.params)
+    got = set(params)
+    if expected != got:
+        missing = sorted(expected - got)
+        extra = sorted(got - expected)
+        raise ValidationError(
+            f"parameter name mismatch: missing {missing}, extra {extra}"
+        )
+    for name, dst in model.params.items():
         src = np.asarray(params[name])
-        dst = model.params[name]
         if src.shape != dst.data.shape:
             raise ValidationError(
                 f"parameter {name!r}: checkpoint shape {src.shape} "

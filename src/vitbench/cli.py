@@ -36,13 +36,31 @@ from .train import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, out: bool = True) -> None:
+    """``--config``, and ``--seed`` and ``--out`` for the commands that read them."""
     p.add_argument("--config", type=Path, help="key=value config file with [sections]")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (no wall-clock defaults)")
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (no wall-clock defaults)")
+    if out:
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+
+
+def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=10, help="training epochs")
     p.add_argument("--batch-size", type=int, default=75, help="batch size")
     p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate")
+
+
+def _model_kinds(text: str) -> list:
+    """``--models``: comma-separated kinds, each known and named once."""
+    kinds = text.split(",")
+    for kind in kinds:
+        if kind not in MODEL_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown model kind {kind!r} in {text!r}; expected one of {MODEL_KINDS}")
+    if len(set(kinds)) != len(kinds):
+        raise argparse.ArgumentTypeError(f"a model kind is repeated in {text!r}")
+    return kinds
 
 
 class _FileParser(argparse.ArgumentParser):
@@ -200,14 +218,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     """Run a model x dataset grid and emit the comparison CSV + summary."""
-    kinds = args.models.split(",") if args.models else list(MODEL_KINDS)
     manifests = [D.load_manifest(p) for p in args.manifests]
     args.out.mkdir(parents=True, exist_ok=True)
     records = []
     for manifest in manifests:
         spec = D.SplitSpec(seed=args.seed)
         tr, va, te = D.split_dataset(manifest, spec)
-        for kind in kinds:
+        for kind in args.models:
             cfg = _train_config(args)
             model = make_model(kind, {"num_classes": manifest.num_classes}, seed=args.seed)
             history = train(model, tr, va, cfg)
@@ -260,13 +277,14 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--model", choices=MODEL_KINDS, default="vit")
     p.add_argument("--entries-per-param", type=int, default=4,
                    help="sampled entries per parameter tensor")
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = command("pretrain", help="train from scratch on a surrogate task")
     p.add_argument("manifest", type=Path)
     p.add_argument("--model", choices=MODEL_KINDS, default="vit")
     _add_common(p)
+    _add_training(p)
     p.set_defaults(fn=cmd_pretrain)
 
     p = command("finetune", help="fine-tune a checkpoint on a target task")
@@ -276,19 +294,22 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--freeze-backbone", action="store_true",
                    help="update only the classification head")
     _add_common(p)
+    _add_training(p)
     p.set_defaults(fn=cmd_finetune)
 
     p = command("evaluate", help="evaluate a checkpoint on a manifest")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("manifest", type=Path)
     p.add_argument("--split", default="test")
-    _add_common(p)
+    _add_common(p, seed=False, out=False)
     p.set_defaults(fn=cmd_evaluate)
 
     p = command("compare", help="model x dataset grid -> comparison CSV")
     p.add_argument("manifests", type=Path, nargs="+")
-    p.add_argument("--models", help="comma-separated kinds (default: all)")
+    p.add_argument("--models", type=_model_kinds, default=list(MODEL_KINDS),
+                   help="comma-separated kinds, each once (default: all)")
     _add_common(p)
+    _add_training(p)
     p.set_defaults(fn=cmd_compare)
 
     return parser

@@ -297,13 +297,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _finish(out, (a,), bw)
 
 
-def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    """Permute axes; without ``axes``, swap the two axes of a matrix."""
-    if axes is None:
-        if a.ndim != 2:
-            raise DimensionError(f"transpose expects a matrix, got shape {a.shape}")
-        axes = (1, 0)
-    elif sorted(axes) != list(range(a.ndim)):
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute axes: output axis ``i`` is input axis ``axes[i]``."""
+    if sorted(axes) != list(range(a.ndim)):
         raise DimensionError(f"transpose axes {tuple(axes)} do not permute shape {a.shape}")
     out = Tensor(a.data.transpose(axes))
     inverse = np.argsort(axes)
@@ -444,19 +440,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _finish(out, (a,), bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Standardize over the last axis, then affine gamma/beta.
 
-    One fused op: with ``xhat = (x - mean) / sqrt(var + eps)`` the input
-    gradient is ``(gx - mean(gx) - xhat * mean(gx * xhat)) / sqrt(var + eps)``
-    where ``gx = g * gamma``.
+    One fused op: with ``s = sqrt(var + LAYER_NORM_EPS)`` and
+    ``xhat = (x - mean) / s`` the input gradient is
+    ``(gx - mean(gx) - xhat * mean(gx * xhat)) / s`` where ``gx = g * gamma``.
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise DimensionError(
             f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}"
         )
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data)
 

@@ -75,16 +75,18 @@ class TrainConfig:
                 f"TrainConfig augment must be an AugmentConfig, got {self.augment!r}")
 
 
-class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: dict, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Bias-corrected Adam over a named parameter dict.  The decays and
+    ``eps`` are the module's ``ADAM_*`` constants; only ``lr`` is set."""
+
+    def __init__(self, params: dict, lr: float = 0.001):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -95,23 +97,19 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 raise ContractError(f"parameter {name!r} has no gradient")
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
             m_hat = m / b1t
             v_hat = v / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def hyperparams(self) -> dict:
-        return {"lr": self.lr, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps}
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -197,16 +195,17 @@ def evaluate(model, manifest: D.DatasetManifest,
 
 def train(model, train_manifest: D.DatasetManifest,
           val_manifest: D.DatasetManifest | None, cfg: TrainConfig,
-          cache: D.ImageCache | None = None,
           stop_at_train_acc: float | None = None) -> list[MetricsRecord]:
     """Epoch loop: shuffled batches, cross-entropy, backward, Adam step,
     then one validation pass per epoch.  Every training and validation
-    image is decoded into ``cache`` before the first step, and batches
-    stream from it in the model's dtype.  Adam updates exactly the
-    parameters with ``requires_grad``; the rest stay as they are."""
+    image is decoded into a fresh :class:`ImageCache` before the first
+    step, and batches stream from it in the model's dtype.  Adam updates
+    exactly the parameters with ``requires_grad``; the rest stay as they
+    are.  A non-finite loss, or a trainable parameter that is not finite
+    at the end of an epoch, is a :class:`TrainingError`."""
     if not train_manifest.entries:
         raise EmptyDatasetError("training manifest is empty")
-    cache = cache or D.ImageCache()
+    cache = D.ImageCache()
     # decode every training and validation image once, before the first
     # step: the cache holds them all after one epoch anyway, and images
     # decoded between steps leave long-lived arrays among the steps' freed
@@ -241,6 +240,12 @@ def train(model, train_manifest: D.DatasetManifest,
                 epoch_loss += loss.item() * len(batch.labels)
                 correct += int((np.argmax(logits.data, axis=1) == batch.labels).sum())
                 seen += len(batch.labels)
+            # once per epoch: each step's loss check covers the steps between
+            for name, p in opt.params.items():
+                if not np.isfinite(p.data).all():
+                    raise TrainingError(
+                        f"non-finite parameter {name!r} at epoch {epoch}, "
+                        f"after batch {b_idx}")
             train_acc = correct / seen
             history.append(MetricsRecord(
                 model=model.kind, dataset=_dataset_name(train_manifest),
@@ -275,7 +280,8 @@ def pretrain(kind: str, model_config: dict,
             "seed": cfg.seed,
             "epochs": cfg.epochs,
             "source_dataset": surrogate_manifest.name,
-            "adam": Adam({}, lr=cfg.lr).hyperparams(),
+            "adam": {"lr": cfg.lr, "beta1": ADAM_BETA1,
+                     "beta2": ADAM_BETA2, "eps": ADAM_EPS},
             "final_train_loss": history[-1].loss if history else None,
         },
     )
@@ -285,6 +291,8 @@ def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,
               cfg: TrainConfig, val_manifest: D.DatasetManifest | None = None,
               freeze_backbone: bool = False):
     """Backbone from checkpoint, fresh head sized for the target classes.
+    A checkpoint whose non-head names differ from the model's backbone is
+    a :class:`ValidationError` listing what is missing and what is extra.
 
     With ``freeze_backbone`` the backbone parameters get
     ``requires_grad=False``: the tape records only the head and only the
@@ -293,17 +301,10 @@ def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,
     config = dict(ckpt.config)
     config["num_classes"] = target_manifest.num_classes
     model = make_model(ckpt.kind, config, seed=cfg.seed)
-    backbone = model.backbone_names()
-    expected_backbone = set(ckpt.params) - set(model.head_names())
-    if set(backbone) != expected_backbone:
-        missing = sorted(set(backbone) - expected_backbone)
-        extra = sorted(expected_backbone - set(backbone))
-        raise ConfigurationError(
-            f"checkpoint/config mismatch: missing {missing}, extra {extra}"
-        )
-    load_params_into(model, ckpt.params, names=backbone)
+    fresh_head = {name: model.params[name].data for name in model.head_names()}
+    load_params_into(model, {**ckpt.params, **fresh_head})
     if freeze_backbone:
-        for name in backbone:
+        for name in model.backbone_names():
             model.params[name].requires_grad = False
     history = train(model, target_manifest, val_manifest, cfg)
     return model, history

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,28 @@ from vitbench.train import MetricsRecord, make_model
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+# each command's long options: exactly those its handler reads
+SHARED = ("--config", "--seed", "--out")
+TRAINING = ("--epochs", "--batch-size", "--lr")
+OPTIONS = {
+    "gen-synthetic": ("--name", "--classes", "--per-class", "--image-size",
+                      "--angle-offset", "--noise", *SHARED),
+    "split": ("--train-ratio", "--val-ratio", "--test-ratio", "--no-stratify", *SHARED),
+    "gradcheck": ("--model", "--entries-per-param", "--config", "--seed"),
+    "pretrain": ("--model", *SHARED, *TRAINING),
+    "finetune": ("--val-manifest", "--freeze-backbone", *SHARED, *TRAINING),
+    "evaluate": ("--split", "--config"),
+    "compare": ("--models", *SHARED, *TRAINING),
+}
+# options each command took while no handler read them
+REMOVED = {
+    "gen-synthetic": TRAINING,
+    "split": TRAINING,
+    "gradcheck": ("--out", *TRAINING),
+    "evaluate": ("--seed", "--out", *TRAINING),
+}
 
 
 @pytest.fixture
@@ -25,15 +49,28 @@ class TestUsage:
     def test_no_args_exit_2(self):
         assert run([]) == 2
 
-    @pytest.mark.parametrize("sub", [
-        "gen-synthetic", "split", "gradcheck", "pretrain",
-        "finetune", "evaluate", "compare",
-    ])
+    @pytest.mark.parametrize("sub", OPTIONS)
     def test_help_exits_zero(self, sub, capsys):
         assert run([sub, "--help"]) == 0
-        out = capsys.readouterr().out
-        for flag in ("--seed", "--out", "--epochs", "--batch-size", "--lr"):
-            assert flag in out
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(OPTIONS[sub])
+
+    @pytest.mark.parametrize("sub, flag", [(sub, flag) for sub in REMOVED
+                                           for flag in REMOVED[sub]])
+    def test_removed_option(self, sub, flag, tmp_path, capsys, monkeypatch):
+        """An option no handler reads is a usage error, and a config file
+        key naming it is an error naming the file."""
+        monkeypatch.chdir(tmp_path)
+        positionals = {"split": ["x.manifest"], "evaluate": ["x.ckpt", "x.manifest"]}
+        argv = [sub, *positionals.get(sub, [])]
+        assert run([*argv, flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\n{flag[2:]} = 1\n")
+        assert run([*argv, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "run.cfg" in err and flag in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_flag_exit_2(self):
         assert run(["gradcheck", "--frobnicate"]) == 2
@@ -161,6 +198,22 @@ class TestBadInputs:
         save_checkpoint(Checkpoint(kind="vit", config=config,
                                    params={"a": np.zeros(1)}), ckpt)
         self.expect_error(["evaluate", ckpt, manifest], capsys, "vit model for config")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_pretrain_to_non_finite_parameters(self, tmp_path, manifest, capsys):
+        self.expect_error(["pretrain", manifest, "--epochs", "1", "--lr", "1e300",
+                           "--out", tmp_path / "out"], capsys,
+                          "non-finite parameter", "epoch 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_checkpoint_with_non_finite_parameter(self, tmp_path, manifest, capsys):
+        model = make_model("vit", {"num_classes": 2})
+        params = snapshot_params(model)
+        params["head.b"][1] = np.nan
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config=model.config.to_dict(),
+                                   params=params), ckpt)
+        self.expect_error(["evaluate", ckpt, manifest], capsys, "'head.b'", "non-finite")
 
     def test_pretrain_on_a_directory(self, tmp_path, capsys):
         self.expect_error(["pretrain", tmp_path, "--epochs", "1"], capsys)
@@ -290,6 +343,25 @@ class TestCompare:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert footer.startswith("# best val: dataset=d model=vgg-mini ")
         assert summary.startswith("d: best model vgg-mini ")
+
+    @pytest.mark.parametrize("models, needle", [
+        ("", "unknown model kind ''"),
+        ("vit,vit", "repeated"),
+        ("vit,bogus", "unknown model kind 'bogus'"),
+    ], ids=["empty", "repeated", "unknown"])
+    def test_models_checked_before_any_training(self, models, needle, tmp_path, manifest,
+                                                capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda model, *args: trained.append(model) or [])
+        out = tmp_path / "out"
+        assert run(["compare", manifest, "--models", models, "--out", out]) == 2
+        assert needle in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[compare]\nmodels = {models}\n")
+        assert run(["compare", manifest, "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and "run.cfg" in err and needle in err, err
+        assert trained == [] and not out.exists()
 
 
 class TestConfigFile:

@@ -21,6 +21,7 @@ from vitbench.errors import (
     EmptyDatasetError,
     FormatError,
     LabelError,
+    TrainingError,
     ValidationError,
 )
 from vitbench.tensor import Tensor
@@ -127,6 +128,22 @@ class TestTrain:
         model = make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=0)
         with pytest.raises(EmptyDatasetError):
             train(model, manifest, None, TrainConfig(epochs=1, batch_size=4))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_non_finite_parameter_ends_the_epoch(self, tiny_task):
+        # one batch per epoch, so no later loss check sees the overflow
+        model = make_model("vit", {"num_classes": 3}, seed=0)
+        with pytest.raises(TrainingError,
+                           match=r"non-finite parameter '.+' at epoch 0, after batch 0"):
+            train(model, tiny_task, None, TrainConfig(epochs=1, batch_size=12, lr=1e300))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_non_finite_loss_names_epoch_and_batch(self, tiny_task, monkeypatch):
+        # strict mode would stop the forward pass before the loss is checked
+        monkeypatch.setattr(T, "_STRICT", False)
+        model = make_model("vit", {"num_classes": 3}, seed=0)
+        with pytest.raises(TrainingError, match="non-finite loss at epoch 0, batch 1"):
+            train(model, tiny_task, None, TrainConfig(epochs=1, batch_size=8, lr=1e300))
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
@@ -346,6 +363,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_format_error(self, value, tmp_path):
+        params = {"a": np.zeros(3), "b": np.array([1.0, value], dtype=np.float32)}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config={}, params=params), path)
+        with pytest.raises(FormatError, match="'b'"):
+            load_checkpoint(path)
+
     def test_mismatched_config_lists_names(self, tmp_path):
         model = make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=0)
         other = make_model("vit", ViTConfig(num_classes=3, num_layers=1).to_dict(), seed=0)
@@ -427,6 +452,14 @@ class TestTransferWorkflow:
         assert model.params["head.w"].shape == (64, 3)
         logits = model.forward_batch(np.zeros((1, 3, 32, 32)))
         assert logits.shape == (1, 3)
+
+    def test_checkpoint_missing_a_backbone_parameter(self, tiny_task):
+        model = make_model("vit", {"num_classes": 3}, seed=0)
+        params = snapshot_params(model)
+        del params["blocks.0.norm1.gamma"]
+        ckpt = Checkpoint(kind="vit", config=model.config.to_dict(), params=params)
+        with pytest.raises(ValidationError, match=r"missing \['blocks.0.norm1.gamma'\]"):
+            fine_tune(ckpt, tiny_task, TrainConfig(epochs=1, batch_size=8))
 
     def test_freeze_backbone_contract(self, tiny_task):
         ckpt = pretrain("vit", ViTConfig(num_classes=3).to_dict(), tiny_task,
