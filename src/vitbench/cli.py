@@ -324,7 +324,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args = _with_config_file(args, argv)
-        return args.fn(args)
+        # training and checkpoint loading report non-finite values as typed
+        # errors, so numpy's floating-point warnings would only repeat them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

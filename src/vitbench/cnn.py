@@ -164,4 +164,4 @@ class CnnModel(Model):
             if vgg:
                 x = T.max_pool2d(x, 2)
         feat = T.reshape(x, (x.shape[0], -1)) if vgg else T.global_avg_pool(x)
-        return T.add(T.matmul(feat, p["head.w"]), p["head.b"])
+        return T.linear(feat, p["head.w"], p["head.b"])

@@ -253,7 +253,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bw(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
+        return [(a, _unbroadcast(g, a.shape) if a.requires_grad else None),
+                (b, _unbroadcast(g, b.shape) if b.requires_grad else None)]
 
     return _finish(out, (a, b), bw)
 
@@ -262,7 +263,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bw(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
+        return [(a, _unbroadcast(g, a.shape) if a.requires_grad else None),
+                (b, _unbroadcast(-g, b.shape) if b.requires_grad else None)]
 
     return _finish(out, (a, b), bw)
 
@@ -271,10 +273,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        ]
+        # a constant operand (a dropout mask, a pooling scale) gets none
+        return [(a, _unbroadcast(g * b.data, a.shape) if a.requires_grad else None),
+                (b, _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)]
 
     return _finish(out, (a, b), bw)
 
@@ -375,26 +376,66 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bw(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
+        return [(a, g @ b.data.T if a.requires_grad else None),
+                (b, a.data.T @ g if b.requires_grad else None)]
 
     return _finish(out, (a, b), bw)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over equal leading dims: (..., m, k) x (..., k, n).
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for 2-D ``x`` and a bias ``b`` of one entry per column,
+    as one op.
 
-    :func:`matmul` stays strictly 2-D; this op does the stacked products.
+    The bias is added in place into the GEMM's fresh output, the same
+    arithmetic as ``add(matmul(x, w), b)``, so the bits are the same.
     """
-    if (a.ndim < 3 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
-        raise DimensionError(f"bmm shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
 
     def bw(g):
-        return [(a, np.matmul(g, b.data.swapaxes(-1, -2))),
-                (b, np.matmul(a.data.swapaxes(-1, -2), g))]
+        return [(x, g @ w.data.T if x.requires_grad else None),
+                (w, x.data.T @ g if w.requires_grad else None),
+                (b, g.sum(axis=0) if b.requires_grad else None)]
 
-    return _finish(out, (a, b), bw)
+    return _finish(out, (x, w, b), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention ``softmax(q kᵀ · scale) v`` as one op.
+
+    ``q``, ``k`` and ``v`` are heads-first (…, T, d_h).  Returns the output
+    tensor and the (…, T, T) attention weights ``a``, the array the
+    backward keeps.  With ``s = q kᵀ · scale`` and output gradient ``g``
+    the backward is ``dv = aᵀ g``, ``ds = a·(da − Σ da·a)·scale`` where
+    ``da = g vᵀ``, then ``dq = ds k`` and ``dk = dsᵀ q``.
+    """
+    if q.ndim < 2 or k.shape != q.shape or v.shape[:-1] != k.shape[:-1]:
+        raise DimensionError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
+    # a constant of the operands' dtype, as ``mul`` by a scalar tensor would use
+    scale = q.data.dtype.type(scale)
+    s = np.matmul(q.data, k.data.swapaxes(-1, -2))
+    s *= scale
+    a = _softmax(s, -1, out=s)
+    out = Tensor(np.matmul(a, v.data))
+
+    def bw(g):
+        dq = dk = dv = None
+        if v.requires_grad:
+            dv = np.matmul(a.swapaxes(-1, -2), g)
+        if q.requires_grad or k.requires_grad:
+            ds = _softmax_grad(a, np.matmul(g, v.data.swapaxes(-1, -2)), -1)
+            ds *= scale
+            if q.requires_grad:
+                dq = np.matmul(ds, k.data)
+            if k.requires_grad:
+                dk = np.matmul(ds.swapaxes(-1, -2), q.data)
+        return [(q, dq), (k, dk), (v, dv)]
+
+    return _finish(out, (q, k, v), bw), a
 
 
 # ---------------------------------------------------------------------------
@@ -412,30 +453,59 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
+    # u = GELU_C * (x + GELU_A * x*x*x), then t = tanh(u), in one buffer;
     # x*x*x, not x ** 3: numpy's float power is an order of magnitude slower
-    u = GELU_C * (x + GELU_A * (x * x * x))
-    t = np.tanh(u)
-    out = Tensor(0.5 * x * (1.0 + t))
+    t = x * x
+    t *= x
+    t *= GELU_A
+    t += x
+    t *= GELU_C
+    np.tanh(t, out=t)
+    y = np.add(t, 1.0)
+    y *= 0.5 * x
+    out = Tensor(y)
 
     def bw(g):
-        du = GELU_C * (1.0 + 3.0 * GELU_A * (x * x))
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        # d = 0.5 * (1 + t) + 0.5 * x * (1 - t*t) * du, with
+        # du = GELU_C * (1 + 3 * GELU_A * x*x)
+        du = x * x
+        du *= 3.0 * GELU_A
+        du += 1.0
+        du *= GELU_C
+        d = np.multiply(t, t)
+        np.subtract(1.0, d, out=d)
+        d *= 0.5 * x
+        d *= du
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        d += du
         return [(a, g * d)]
 
     return _finish(out, (a,), bw)
 
 
+def _softmax(s: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of ``s`` along ``axis``, written into ``out`` (may be ``s``)."""
+    out = np.subtract(s, s.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output ``y`` and output gradient ``g``."""
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
     out = Tensor(y)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return [(a, y * (g - dot))]
+        return [(a, _softmax_grad(y, g, axis))]
 
     return _finish(out, (a,), bw)
 
@@ -455,17 +525,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}"
         )
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    y = xc * xc
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat = np.multiply(xc, inv, out=xc)
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
 
     def bw(g):
         gx = g * gamma.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        t = gx * xhat
+        m = t.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= np.multiply(xhat, m, out=t)
+        gx *= inv
         return [
-            (x, dx),
-            (gamma, _unbroadcast(g * xhat, gamma.shape)),
+            (x, gx),
+            (gamma, _unbroadcast(np.multiply(g, xhat, out=t), gamma.shape)),
             (beta, _unbroadcast(g, beta.shape)),
         ]
 

@@ -5,8 +5,8 @@ patches, flatten and project them, prepend a class token, add learned
 positional embeddings, run a stack of pre-norm transformer encoder blocks,
 and read the class token through a linear head.  The model runs
 batch-first: a B x C x H x W batch takes one pass, with the residual
-stream as one B x T x D tensor whose weight projections are 2-D matmuls
-over all B*T rows.
+stream as one B x T x D tensor whose weight projections are 2-D linear
+ops over all B*T rows.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def embed_patches(patches: Tensor, w_proj: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"patch width {patches.shape[1]} does not match projection rows {w_proj.shape[0]}"
         )
-    return T.add(T.matmul(patches, w_proj), bias)
+    return T.linear(patches, w_proj, bias)
 
 
 def add_positional(embeddings: Tensor, cls_token: Tensor, pos_table: Tensor) -> Tensor:
@@ -128,10 +128,13 @@ def add_positional(embeddings: Tensor, cls_token: Tensor, pos_table: Tensor) -> 
 def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights: bool = False):
     """Scaled dot-product attention over num_heads subspaces of width D/h.
 
-    ``x`` is (…, T, D).  The projections are 2-D matmuls over all rows; the
-    heads are a reshape to (…, h, T, D/h), and the scores and outputs are
-    batched products over them.  With ``return_weights`` the (…, T, T)
-    attention weights of each head come back as a list of h tensors.
+    ``x`` is (…, T, D).  The q/k/v/o projections are :func:`tensor.linear`
+    ops over all rows; q, k and v are reshaped heads-first to
+    (…, h, T, D/h), and one :func:`tensor.attention` op per call computes
+    the scores, the softmax and the weighted values of every head.  With
+    ``return_weights`` the (…, T, T) attention weights of each head come
+    back as a list of h tensors: views of the weights the attention op
+    keeps for its backward, not recorded on the tape.
     """
     *lead, t, d = x.shape
     if d % num_heads:
@@ -140,31 +143,27 @@ def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights:
     n = len(lead)
     rows = T.reshape(x, (-1, d))
 
-    def project(name: str, axes) -> Tensor:
-        y = T.add(T.matmul(rows, block["attn.w" + name]), block["attn.b" + name])
-        return T.transpose(T.reshape(y, (*lead, t, h, dh)), axes)
-
     # swaps the T and h axes, so it is its own inverse
     heads_first = (*range(n), n + 1, n, n + 2)
-    q = project("q", heads_first)
-    k_t = project("k", (*range(n), n + 1, n + 2, n))
-    v = project("v", heads_first)
-    scores = T.mul(T.bmm(q, k_t), Tensor(np.array(1.0 / np.sqrt(dh), x.data.dtype)))
-    a = T.softmax(scores, axis=-1)
-    heads = T.reshape(T.transpose(T.bmm(a, v), heads_first), (-1, d))
-    out = T.add(T.matmul(heads, block["attn.wo"]), block["attn.bo"])
-    out = T.reshape(out, x.shape)
+
+    def project(name: str) -> Tensor:
+        y = T.linear(rows, block["attn.w" + name], block["attn.b" + name])
+        return T.transpose(T.reshape(y, (*lead, t, h, dh)), heads_first)
+
+    q, k, v = (project(name) for name in "qkv")
+    heads, a = T.attention(q, k, v, 1.0 / np.sqrt(dh))
+    heads = T.reshape(T.transpose(heads, heads_first), (-1, d))
+    out = T.reshape(T.linear(heads, block["attn.wo"], block["attn.bo"]), x.shape)
     if return_weights:
-        per_head = (*lead, t, t)
-        return out, [T.reshape(T.slice_axis(a, n, i, i + 1), per_head) for i in range(h)]
+        return out, [Tensor(a[(slice(None),) * n + (i,)]) for i in range(h)]
     return out
 
 
 def _mlp(x: Tensor, block: dict) -> Tensor:
-    """Two-layer GELU MLP on a (…, T, D) stream, as 2-D matmuls over all rows."""
+    """Two-layer GELU MLP on a (…, T, D) stream, as 2-D linear ops over all rows."""
     rows = T.reshape(x, (-1, x.shape[-1]))
-    h = T.gelu(T.add(T.matmul(rows, block["mlp.w1"]), block["mlp.b1"]))
-    return T.reshape(T.add(T.matmul(h, block["mlp.w2"]), block["mlp.b2"]), x.shape)
+    h = T.gelu(T.linear(rows, block["mlp.w1"], block["mlp.b1"]))
+    return T.reshape(T.linear(h, block["mlp.w2"], block["mlp.b2"]), x.shape)
 
 
 class ViTClassifier(Model):
@@ -253,7 +252,7 @@ class ViTClassifier(Model):
         # the final norm and the head read only the class-token rows
         x = self._blocks(seq)
         cls = self._final_norm(T.reshape(T.slice_axis(x, 1, 0, 1), (len(images), cfg.embed_dim)))
-        return T.add(T.matmul(cls, self.params["head.w"]), self.params["head.b"])
+        return T.linear(cls, self.params["head.w"], self.params["head.b"])
 
     def forward_logits(self, image: np.ndarray) -> Tensor:
         """C x H x W image -> num_classes logits, through :meth:`forward_batch`."""

@@ -199,12 +199,20 @@ class TestBadInputs:
                                    params={"a": np.zeros(1)}), ckpt)
         self.expect_error(["evaluate", ckpt, manifest], capsys, "vit model for config")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     def test_pretrain_to_non_finite_parameters(self, tmp_path, manifest, capsys):
         self.expect_error(["pretrain", manifest, "--epochs", "1", "--lr", "1e300",
                            "--out", tmp_path / "out"], capsys,
                           "non-finite parameter", "epoch 0")
         assert not (tmp_path / "out").exists()
+
+    # any numpy floating-point warning fails the test, so the one error line
+    # is all the command writes
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_run_writes_one_error_line(self, tmp_path, manifest, capsys):
+        assert run(["pretrain", manifest, "--epochs", "1", "--lr", "1e300",
+                    "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_evaluate_checkpoint_with_non_finite_parameter(self, tmp_path, manifest, capsys):
         model = make_model("vit", {"num_classes": 2})

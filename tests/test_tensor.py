@@ -53,31 +53,144 @@ class TestMatmul:
         assert np.array_equal(a.data, a0) and np.array_equal(b.data, b0)
 
 
-class TestBmm:
-    def test_matches_per_matrix_matmul(self):
-        rng = np.random.default_rng(20)
-        a = rng.normal(size=(2, 3, 4, 5))
-        b = rng.normal(size=(2, 3, 5, 2))
-        out = T.bmm(Tensor(a), Tensor(b)).data
-        for i in range(2):
-            for j in range(3):
-                assert np.allclose(out[i, j], a[i, j] @ b[i, j], rtol=0, atol=1e-12)
+def _value_and_grads(fn, arrays, w):
+    """``fn`` on fresh leaves made from ``arrays``: its output, and every
+    leaf's gradient of ``sum(fn(...) * w)``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        y = fn(*leaves)
+        loss = T.tsum(T.mul(y, Tensor(w)))
+    backward(loss, tape)
+    return y.data, [t.grad for t in leaves]
 
+
+def _backward_grads(fn, *leaves):
+    """The gradients one op's backward hands back for ``fn(*leaves)``,
+    called on an output gradient of ones."""
+    with Tape() as tape:
+        out = fn(*leaves)
+    return [g for _, g in tape._entries[-1].backward_fn(np.ones_like(out.data))]
+
+
+class TestLinear:
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(21)
-        a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 3, 5, 2)), requires_grad=True)
-        w = rng.random((2, 3, 4, 2))
-        err = gradcheck(lambda: T.tsum(T.mul(T.bmm(a, b), Tensor(w))), [a, b])
+        rng = np.random.default_rng(24)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in [(5, 4), (4, 3), (3,)])
+        wts = rng.random((5, 3))
+        err = gradcheck(lambda: T.tsum(T.mul(T.linear(x, w, b), Tensor(wts))), [x, w, b])
         assert err < 1e-3
 
-    def test_mismatched_leading_dims(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
-            T.bmm(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_matmul_then_add(self, dtype):
+        rng = np.random.default_rng(25)
+        arrays = [rng.normal(size=s).astype(dtype) for s in [(17, 24), (24, 10), (10,)]]
+        wts = rng.normal(size=(17, 10)).astype(dtype)
+        y1, grads1 = _value_and_grads(T.linear, arrays, wts)
+        y2, grads2 = _value_and_grads(lambda x, w, b: T.add(T.matmul(x, w), b), arrays, wts)
+        assert y1.dtype == dtype and np.array_equal(y1, y2)
+        for g1, g2 in zip(grads1, grads2):
+            assert g1.dtype == dtype and np.array_equal(g1, g2)
 
-    def test_inner_extent_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.bmm(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 5))))
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        dx, dw, db = _backward_grads(T.linear, x, w, b)
+        assert dx is None
+        assert np.array_equal(dw, x.data.T @ np.ones((3, 2)))
+        assert np.array_equal(db, np.full(2, 3.0))
+
+    @pytest.mark.parametrize("shapes", [
+        [(3, 4), (5, 2), (2,)],
+        [(3, 4), (4, 2), (3,)],
+        [(2, 3, 4), (4, 2), (2,)],
+        [(3, 4), (4, 2), (1, 2)],
+    ])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(DimensionError, match="linear"):
+            T.linear(*(Tensor(np.zeros(s)) for s in shapes))
+
+
+def _composed_attention(q, k, v, scale, g):
+    """The attention core as the separate ops it replaces, forward and
+    backward in their order: the batched products, the scale, the softmax.
+    Returns the output and the gradients of q, k and v."""
+    k_t = k.swapaxes(-1, -2)
+    s = np.matmul(q, k_t) * np.array(scale, q.dtype)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(a, v)
+    da = np.matmul(g, v.swapaxes(-1, -2))
+    ds = a * (da - (da * a).sum(axis=-1, keepdims=True)) * np.array(scale, q.dtype)
+    dq = np.matmul(ds, k_t.swapaxes(-1, -2))
+    dk = np.matmul(q.swapaxes(-1, -2), ds).swapaxes(-1, -2)
+    dv = np.matmul(a.swapaxes(-1, -2), g)
+    return out, [dq, dk, dv]
+
+
+class TestAttention:
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(27)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True) for _ in range(3))
+        wts = rng.random((2, 3, 5, 4))
+        err = gradcheck(
+            lambda: T.tsum(T.mul(T.attention(q, k, v, 0.5)[0], Tensor(wts))), [q, k, v])
+        assert err < 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_composed_ops(self, dtype):
+        rng = np.random.default_rng(28)
+        # heads-first views of (B, T, h, d_h) projections, as in the model
+        q, k, v = (rng.normal(size=(4, 17, 4, 16)).astype(dtype).transpose(0, 2, 1, 3)
+                   for _ in range(3))
+        wts = rng.normal(size=q.shape).astype(dtype)
+        scale = 1.0 / np.sqrt(16)
+        y, grads = _value_and_grads(lambda *t: T.attention(*t, scale)[0], [q, k, v], wts)
+        y_ref, grads_ref = _composed_attention(q, k, v, scale, wts)
+        assert y.dtype == dtype and np.array_equal(y, y_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.dtype == dtype and np.array_equal(g, g_ref)
+
+    def test_returns_the_row_stochastic_weights(self):
+        rng = np.random.default_rng(29)
+        q, k, v = (Tensor(rng.normal(size=(3, 6, 2))) for _ in range(3))
+        out, a = T.attention(q, k, v, 0.7)
+        assert a.shape == (3, 6, 6)
+        assert np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(out.data, a @ v.data, rtol=0, atol=1e-12)
+
+    def test_inputs_without_grad_get_none(self):
+        rng = np.random.default_rng(30)
+        q = Tensor(rng.normal(size=(2, 4, 3)))
+        k = Tensor(rng.normal(size=(2, 4, 3)))
+        v = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        dq, dk, dv = _backward_grads(lambda *t: T.attention(*t, 1.0)[0], q, k, v)
+        assert dq is None and dk is None and dv.shape == v.shape
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 4, 3), (2, 5, 3), (2, 5, 3)],
+        [(2, 4, 3), (2, 4, 3), (2, 5, 3)],
+        [(3,), (3,), (3,)],
+    ])
+    def test_shape_mismatch(self, shapes):
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(*(Tensor(np.zeros(s)) for s in shapes), 1.0)
+
+
+class TestNoGradientForConstants:
+    """An op computes no gradient for an input that needs none."""
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])
+    def test_binary_ops(self, op):
+        rng = np.random.default_rng(31)
+        a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 3)))
+        da, dc = _backward_grads(op, a, c)
+        assert da is not None and dc is None
+        dc, da = _backward_grads(op, c, a)
+        assert dc is None and da is not None
 
 
 class TestTranspose:
@@ -410,20 +523,31 @@ class TestLayerNorm:
             return T.add(T.mul(T.mul(xc, inv), gamma), beta)
 
         data = [rng.normal(1.0, 2.0, size=shape), rng.random(8), rng.random(8)]
-
-        def value_and_grads(fn):
-            x, g, b = (Tensor(a, requires_grad=True) for a in data)
-            with Tape() as tape:
-                y = fn(x, g, b)
-                loss = T.tsum(T.mul(y, Tensor(w)))
-            backward(loss, tape)
-            return y.data, [x.grad, g.grad, b.grad]
-
-        y1, grads1 = value_and_grads(T.layer_norm)
-        y2, grads2 = value_and_grads(composed)
+        y1, grads1 = _value_and_grads(T.layer_norm, data, w)
+        y2, grads2 = _value_and_grads(composed, data, w)
         assert np.max(np.abs(y1 - y2)) < 1e-12
         for g1, g2 in zip(grads1, grads2):
             assert np.max(np.abs(g1 - g2)) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_its_formula(self, dtype):
+        """In-place buffers, but the formula's operations in its order."""
+        rng = np.random.default_rng(33)
+        x, gamma, beta = (rng.normal(1.0, 2.0, size=s).astype(dtype)
+                          for s in [(2, 5, 8), (8,), (8,)])
+        g = rng.normal(size=x.shape).astype(dtype)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+        xhat = xc * inv
+        gx = g * gamma
+        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        y, grads = _value_and_grads(T.layer_norm, [x, gamma, beta], g)
+        assert np.array_equal(y, xhat * gamma + beta)
+        # gamma and beta sum over the broadcast axes one at a time
+        expected = [dx, (g * xhat).sum(axis=0).sum(axis=0), g.sum(axis=0).sum(axis=0)]
+        for got, want in zip(grads, expected):
+            assert got.dtype == dtype and np.array_equal(got, want)
 
 
 class TestActivations:
@@ -440,6 +564,20 @@ class TestActivations:
         w = rng.random(20)
         err = gradcheck(lambda: T.tsum(T.mul(T.gelu(x), Tensor(w))), [x], eps=1e-4)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_same_bits_as_its_formula(self, dtype):
+        """In-place buffers, but the formula's operations in its order."""
+        rng = np.random.default_rng(32)
+        x = rng.normal(0.0, 3.0, size=(7, 9)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        c, a = T.GELU_C, T.GELU_A
+        t = np.tanh(c * (x + a * (x * x * x)))
+        du = c * (1.0 + 3.0 * a * (x * x))
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        y, (dx,) = _value_and_grads(T.gelu, [x], g)
+        assert np.array_equal(y, 0.5 * x * (1.0 + t))
+        assert dx.dtype == dtype and np.array_equal(dx, g * d)
 
 
 class TestCrossEntropy:
@@ -625,7 +763,8 @@ _FLOAT32_CASES = {
     "stack": lambda x: T.stack([x(2, 3), x(2, 3)], axis=1),
     "tsum": lambda x: T.tsum(x(2, 3, 4), axis=1),
     "matmul": lambda x: T.matmul(x(2, 3), x(3, 4)),
-    "bmm": lambda x: T.bmm(x(2, 3, 4), x(2, 4, 5)),
+    "linear": lambda x: T.linear(x(2, 3), x(3, 4), x(4)),
+    "attention": lambda x: T.attention(x(2, 3, 4), x(2, 3, 4), x(2, 3, 5), 0.5)[0],
     "relu": lambda x: T.relu(x(3, 4)),
     "gelu": lambda x: T.gelu(x(3, 4)),
     "softmax": lambda x: T.softmax(x(3, 5), axis=-1),

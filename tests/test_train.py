@@ -486,8 +486,8 @@ class TestTransferWorkflow:
         monkeypatch.setattr(train_module, "backward", recording_backward)
         model, _ = fine_tune(ckpt, tiny_task, TrainConfig(epochs=2, batch_size=8, seed=1),
                              freeze_backbone=True)
-        # head matmul, bias add, cross-entropy; no backbone op is recorded
-        assert lengths and set(lengths) == {3}
+        # head linear, cross-entropy; no backbone op is recorded
+        assert lengths and set(lengths) == {2}
         for name in model.backbone_names():
             assert not model.params[name].requires_grad, name
             assert model.params[name].grad is None, name

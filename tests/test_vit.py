@@ -194,6 +194,39 @@ class TestMultiHeadAttention:
         for a in weights:
             assert np.all(np.abs(a.data.sum(axis=1) - 1.0) < 1e-6)
 
+    def test_weights_are_views_of_one_array(self):
+        rng = np.random.default_rng(12)
+        blk = random_block(rng, 8)
+        x = Tensor(rng.normal(size=(3, 5, 8)))
+        _, weights = multi_head_attention(x, blk, 4, return_weights=True)
+        base = weights[0].data.base
+        assert base is not None and base.shape == (3, 4, 5, 5)
+        assert all(w.shape == (3, 5, 5) and w.data.base is base for w in weights)
+
+    def test_one_linear_per_projection_and_one_attention_core(self):
+        rng = np.random.default_rng(13)
+        blk = {k: Tensor(v.data, requires_grad=True) for k, v in random_block(rng, 8).items()}
+        with T.Tape() as tape:
+            multi_head_attention(Tensor(rng.normal(size=(2, 5, 8))), blk, 2)
+        ops = [e.backward_fn.__qualname__.split(".")[0] for e in tape._entries]
+        assert ops.count("linear") == 4 and ops.count("attention") == 1
+        assert not {"matmul", "add", "mul", "softmax"} & set(ops)
+
+    def test_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        blk = {k: Tensor(v.data, requires_grad=True) for k, v in random_block(rng, 8).items()}
+        x = Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
+        w = rng.random((2, 5, 8))
+        # the key bias shifts every score of a row alike, which the softmax
+        # ignores: its true gradient is zero, so no relative error is defined
+        bk = blk.pop("attn.bk")
+        err = T.finite_diff_gradcheck(
+            lambda: T.tsum(T.mul(multi_head_attention(x, {**blk, "attn.bk": bk}, 2),
+                                 Tensor(w))),
+            {"x": x, **blk})
+        assert err < 1e-3
+        assert np.max(np.abs(bk.grad)) < 1e-12
+
     def test_indivisible_heads(self):
         rng = np.random.default_rng(11)
         blk = random_block(rng, 6)
