@@ -136,25 +136,25 @@ def cmd_split(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    # finite differences need float64 whatever the model default
+    # finite differences need float64 whatever the model default; the
+    # model is built first, so make_model checks the seed
     if args.model == "vit":
         model = make_model("vit", {"num_classes": 3, "dtype": "float64"}, seed=args.seed)
-        cfg = model.config
-        image = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
         eps = 1e-4
     else:
         model = make_model(args.model, {
             "stage_widths": [4, 8], "blocks_per_stage": 1,
             "num_classes": 3, "image_size": 8, "channels": 3, "dtype": "float64",
         }, seed=args.seed)
-        image = rng.random((3, 8, 8))
         # relu models: check at a generic point so no preactivation sits
         # exactly on a kink, and keep eps small to avoid crossing one
         jitter = np.random.default_rng(args.seed + 100)
         for p in model.params.values():
             p.data = p.data + jitter.normal(0, 0.01, p.data.shape)
         eps = 1e-6
+    cfg = model.config
+    rng = np.random.default_rng(args.seed)
+    image = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
     label = np.array([1])
 
     def f():

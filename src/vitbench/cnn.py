@@ -51,21 +51,16 @@ class CnnConfig:
         return {**asdict(self), "stage_widths": list(self.stage_widths)}
 
 
-def _conv(x: Tensor, w: Tensor, b: Tensor, stride=1, padding=1, groups=1) -> Tensor:
-    y = T.conv2d(x, w, stride=stride, padding=padding, groups=groups)
-    return T.add(y, T.reshape(b, (1, b.shape[0], 1, 1)))
-
-
 def residual_block(x: Tensor, params: dict, stride: int = 1) -> Tensor:
     """relu(conv2(relu(conv1(x))) + shortcut(x)).
 
     The shortcut is the identity when shape is preserved, otherwise a
     strided 1x1 projection (params then carry "proj.w"/"proj.b").
     """
-    h = T.relu(_conv(x, params["conv1.w"], params["conv1.b"], stride=stride, padding=1))
-    h = _conv(h, params["conv2.w"], params["conv2.b"], stride=1, padding=1)
+    h = T.relu(T.conv2d(x, params["conv1.w"], params["conv1.b"], stride=stride, padding=1))
+    h = T.conv2d(h, params["conv2.w"], params["conv2.b"], padding=1)
     if "proj.w" in params:
-        sc = _conv(x, params["proj.w"], params["proj.b"], stride=stride, padding=0)
+        sc = T.conv2d(x, params["proj.w"], params["proj.b"], stride=stride)
     else:
         sc = x
     return T.relu(T.add(h, sc))
@@ -74,10 +69,8 @@ def residual_block(x: Tensor, params: dict, stride: int = 1) -> Tensor:
 def depthwise_separable(x: Tensor, params: dict, stride: int = 1) -> Tensor:
     """relu(pointwise(relu(depthwise(x)))); depthwise groups = Cin."""
     cin = x.shape[1]
-    h = T.relu(
-        _conv(x, params["dw.w"], params["dw.b"], stride=stride, padding=1, groups=cin)
-    )
-    return T.relu(_conv(h, params["pw.w"], params["pw.b"], stride=1, padding=0))
+    h = T.relu(T.conv2d(x, params["dw.w"], params["dw.b"], stride=stride, padding=1, groups=cin))
+    return T.relu(T.conv2d(h, params["pw.w"], params["pw.b"]))
 
 
 class CnnModel(Model):
@@ -150,13 +143,13 @@ class CnnModel(Model):
         vgg = cfg.kind == "vgg-mini"
         x = Tensor(self.as_batch(images))
         if not vgg:
-            x = T.relu(_conv(x, p["stem.w"], p["stem.b"]))
+            x = T.relu(T.conv2d(x, p["stem.w"], p["stem.b"], padding=1))
         for s in range(len(cfg.stage_widths)):
             for j in range(cfg.blocks_per_stage):
                 blk = self.block_params(s, j)
                 stride = 2 if j == 0 else 1
                 if vgg:
-                    x = T.relu(_conv(x, blk["w"], blk["b"]))
+                    x = T.relu(T.conv2d(x, blk["w"], blk["b"], padding=1))
                 elif cfg.kind == "resnet-mini":
                     x = residual_block(x, blk, stride=stride)
                 else:

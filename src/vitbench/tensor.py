@@ -383,22 +383,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for 2-D ``x`` and a bias ``b`` of one entry per column,
-    as one op.
+    """``x @ w + b`` for a (…, D_in) ``x`` and a (D_out,) bias, as one op
+    returning (…, D_out).
 
-    The bias is added in place into the GEMM's fresh output, the same
-    arithmetic as ``add(matmul(x, w), b)``, so the bits are the same.
+    The leading axes fold into the rows of one 2-D GEMM, and the bias is
+    added in place into its fresh output: the same arithmetic, so the same
+    bits, as ``add(matmul(x_rows, w), b)`` reshaped back.
     """
-    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+    if (x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]
             or b.shape != (w.shape[1],)):
         raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    y = x.data @ w.data
+    rows = x.data.reshape(-1, w.shape[0])
+    y = rows @ w.data
     y += b.data
-    out = Tensor(y)
+    out = Tensor(y.reshape(*x.shape[:-1], w.shape[1]))
 
     def bw(g):
-        return [(x, g @ w.data.T if x.requires_grad else None),
-                (w, x.data.T @ g if w.requires_grad else None),
+        g = g.reshape(y.shape)
+        return [(x, (g @ w.data.T).reshape(x.shape) if x.requires_grad else None),
+                (w, rows.T @ g if w.requires_grad else None),
                 (b, g.sum(axis=0) if b.requires_grad else None)]
 
     return _finish(out, (x, w, b), bw)
@@ -666,22 +669,20 @@ def _conv2d_input_grad(g: np.ndarray, kernel: np.ndarray, x_shape, stride, paddi
     return dxp
 
 
-def conv2d(
-    x: Tensor,
-    kernel: Tensor,
-    stride=(1, 1),
-    padding=(0, 0),
-    groups: int = 1,
-) -> Tensor:
-    """Strided zero-padded cross-correlation (no kernel flip), with groups.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0),
+           groups: int = 1) -> Tensor:
+    """Strided zero-padded cross-correlation (no kernel flip), with groups,
+    plus a (Cout,) ``bias``.
 
     ``stride`` (each >= 1) and ``padding`` (each >= 0) are ints or pairs of
-    ints; anything else is a :class:`ConfigurationError`.  The forward and
-    the kernel gradient are one batched GEMM each over the im2col columns:
-    the columns are viewed as (B, G, Cg*kh*kw, Ho*Wo) and the kernel as
-    (G, Og, Cg*kh*kw), so plain, grouped and depthwise convolution share
-    the code.  The input gradient is per-tap GEMMs on wide rows, one stride
-    phase at a time (see :func:`_conv2d_input_grad`), with no column buffer.
+    ints; anything else is a :class:`ConfigurationError`.  The bias is added
+    in place into the GEMM's fresh output: the same bits as a broadcast
+    ``add`` after the convolution.  The forward and the kernel gradient are
+    one batched GEMM each over the im2col columns, viewed as
+    (B, G, Cg*kh*kw, Ho*Wo) with the kernel as (G, Og, Cg*kh*kw), so plain,
+    grouped and depthwise convolution share the code.  The input gradient
+    is per-tap GEMMs on wide rows, one stride phase at a time (see
+    :func:`_conv2d_input_grad`), with no column buffer.
     """
     stride = _int_pair("conv2d stride", stride, 1)
     padding = _int_pair("conv2d padding", padding, 0)
@@ -702,6 +703,8 @@ def conv2d(
         raise DimensionError(
             f"kernel channels {ck} do not match Cin/groups = {cin}//{groups}"
         )
+    if bias.shape != (cout,):
+        raise DimensionError(f"conv2d bias shape {bias.shape} is not (Cout,) = ({cout},)")
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
     if ho <= 0 or wo <= 0:
@@ -714,20 +717,24 @@ def conv2d(
     c4 = cols.reshape(b, groups, ck * kh * kw, ho * wo)
     k3 = kernel.data.reshape(groups, cout // groups, ck * kh * kw)
     # (B, G, Og, Ho*Wo) is already NCHW once G and Og merge
-    out = Tensor(np.matmul(k3, c4).reshape(b, cout, ho, wo))
+    y = np.matmul(k3, c4).reshape(b, cout, ho, wo)
+    y += bias.data.reshape(1, cout, 1, 1)
+    out = Tensor(y)
 
     def bw(g):
         # backward drops gradients of inputs that need none (the images
         # entering the first conv), so they are not computed
-        dx = dk = None
+        dx = dk = db = None
         if x.requires_grad:
             dx = _conv2d_input_grad(g, kernel.data, x.shape, stride, padding, groups)
         if kernel.requires_grad:
             g4 = g.reshape(b, groups, cout // groups, ho * wo)
             dk = np.matmul(g4, c4.swapaxes(-1, -2)).sum(axis=0).reshape(kernel.shape)
-        return [(x, dx), (kernel, dk)]
+        if bias.requires_grad:
+            db = _unbroadcast(g, (1, cout, 1, 1)).reshape(cout)
+        return [(x, dx), (kernel, dk), (bias, db)]
 
-    return _finish(out, (x, kernel), bw)
+    return _finish(out, (x, kernel, bias), bw)
 
 
 def max_pool2d(x: Tensor, k: int = 2) -> Tensor:

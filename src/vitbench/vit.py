@@ -5,19 +5,18 @@ patches, flatten and project them, prepend a class token, add learned
 positional embeddings, run a stack of pre-norm transformer encoder blocks,
 and read the class token through a linear head.  The model runs
 batch-first: a B x C x H x W batch takes one pass, with the residual
-stream as one B x T x D tensor whose weight projections are 2-D linear
-ops over all B*T rows.
+stream as one B x T x D tensor whose weight projections are
+:func:`tensor.linear` ops on that stream.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, DimensionError, check_int, is_real
+from .errors import ConfigurationError, check_int, is_real
 from .tensor import Model, Tensor
 
 
@@ -39,9 +38,13 @@ class ViTConfig:
                      "num_heads", "num_classes"):
             check_int(f"ViT {name}", getattr(self, name))
         check_int("ViT num_layers", self.num_layers, minimum=0)
-        if not (is_real(self.mlp_ratio) and 0.0 < self.mlp_ratio < math.inf):
-            raise ConfigurationError(
-                f"ViT mlp_ratio must be finite and > 0, got {self.mlp_ratio!r}")
+        try:  # round() refuses inf and nan, and float() an embed_dim past its range
+            ok = is_real(self.mlp_ratio) and round(self.mlp_ratio * self.embed_dim) >= 1
+        except (OverflowError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigurationError(f"ViT mlp_ratio * embed_dim must round to a finite hidden "
+                                     f"width >= 1, got {self.mlp_ratio!r} * {self.embed_dim}")
         if not (is_real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ConfigurationError(f"ViT dropout must be in [0, 1), got {self.dropout!r}")
         T.check_dtype("ViT", self.dtype)
@@ -103,11 +106,8 @@ def unpartition(patches: np.ndarray, patch_size: int, channels: int, h: int, w: 
 
 
 def embed_patches(patches: Tensor, w_proj: Tensor, bias: Tensor) -> Tensor:
-    """Affine projection of flattened patches into the embedding dimension."""
-    if patches.shape[1] != w_proj.shape[0]:
-        raise DimensionError(
-            f"patch width {patches.shape[1]} does not match projection rows {w_proj.shape[0]}"
-        )
+    """Affine projection of (…, N, P*P*C) flattened patches into the
+    embedding dimension."""
     return T.linear(patches, w_proj, bias)
 
 
@@ -129,7 +129,7 @@ def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights:
     """Scaled dot-product attention over num_heads subspaces of width D/h.
 
     ``x`` is (…, T, D).  The q/k/v/o projections are :func:`tensor.linear`
-    ops over all rows; q, k and v are reshaped heads-first to
+    ops on it; q, k and v are reshaped heads-first to
     (…, h, T, D/h), and one :func:`tensor.attention` op per call computes
     the scores, the softmax and the weighted values of every head.  With
     ``return_weights`` the (…, T, T) attention weights of each head come
@@ -141,29 +141,26 @@ def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights:
         raise ConfigurationError(f"embed dim {d} not divisible by {num_heads} heads")
     h, dh = num_heads, d // num_heads
     n = len(lead)
-    rows = T.reshape(x, (-1, d))
-
     # swaps the T and h axes, so it is its own inverse
     heads_first = (*range(n), n + 1, n, n + 2)
 
     def project(name: str) -> Tensor:
-        y = T.linear(rows, block["attn.w" + name], block["attn.b" + name])
+        y = T.linear(x, block["attn.w" + name], block["attn.b" + name])
         return T.transpose(T.reshape(y, (*lead, t, h, dh)), heads_first)
 
     q, k, v = (project(name) for name in "qkv")
     heads, a = T.attention(q, k, v, 1.0 / np.sqrt(dh))
-    heads = T.reshape(T.transpose(heads, heads_first), (-1, d))
-    out = T.reshape(T.linear(heads, block["attn.wo"], block["attn.bo"]), x.shape)
+    heads = T.reshape(T.transpose(heads, heads_first), x.shape)
+    out = T.linear(heads, block["attn.wo"], block["attn.bo"])
     if return_weights:
         return out, [Tensor(a[(slice(None),) * n + (i,)]) for i in range(h)]
     return out
 
 
 def _mlp(x: Tensor, block: dict) -> Tensor:
-    """Two-layer GELU MLP on a (…, T, D) stream, as 2-D linear ops over all rows."""
-    rows = T.reshape(x, (-1, x.shape[-1]))
-    h = T.gelu(T.linear(rows, block["mlp.w1"], block["mlp.b1"]))
-    return T.reshape(T.linear(h, block["mlp.w2"], block["mlp.b2"]), x.shape)
+    """Two-layer GELU MLP on a (…, T, D) stream."""
+    h = T.gelu(T.linear(x, block["mlp.w1"], block["mlp.b1"]))
+    return T.linear(h, block["mlp.w2"], block["mlp.b2"])
 
 
 class ViTClassifier(Model):
@@ -245,9 +242,8 @@ class ViTClassifier(Model):
         """B x C x H x W batch -> B x num_classes logits, in one batched pass."""
         cfg = self.config
         images = self.as_batch(images)
-        patches = Tensor(partition_and_flatten(images, cfg.patch_size).reshape(-1, cfg.patch_dim))
+        patches = Tensor(partition_and_flatten(images, cfg.patch_size))
         emb = embed_patches(patches, self.params["patch_proj.w"], self.params["patch_proj.b"])
-        emb = T.reshape(emb, (len(images), cfg.num_patches, cfg.embed_dim))
         seq = add_positional(emb, self.params["cls_token"], self.params["pos_table"])
         # the final norm and the head read only the class-token rows
         x = self._blocks(seq)

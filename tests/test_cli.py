@@ -199,6 +199,14 @@ class TestBadInputs:
                                    params={"a": np.zeros(1)}), ckpt)
         self.expect_error(["evaluate", ckpt, manifest], capsys, "vit model for config")
 
+    @pytest.mark.parametrize("mlp_ratio", [1e308, 1e-9])
+    def test_evaluate_checkpoint_without_an_mlp_width(self, tmp_path, manifest, capsys,
+                                                      mlp_ratio):
+        ckpt = tmp_path / "mlp.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config={"mlp_ratio": mlp_ratio},
+                                   params={"a": np.zeros(1)}), ckpt)
+        self.expect_error(["evaluate", ckpt, manifest], capsys, "hidden width")
+
     def test_pretrain_to_non_finite_parameters(self, tmp_path, manifest, capsys):
         self.expect_error(["pretrain", manifest, "--epochs", "1", "--lr", "1e300",
                            "--out", tmp_path / "out"], capsys,
@@ -292,6 +300,13 @@ class TestBadInputs:
     def test_gradcheck_needs_one_entry_per_parameter(self, capsys, entries):
         self.expect_error(["gradcheck", "--model", "resnet-mini",
                            "--entries-per-param", entries], capsys, "entries per parameter")
+
+    @pytest.mark.parametrize("model", ["vit", "resnet-mini"])
+    def test_gradcheck_negative_seed(self, capsys, model):
+        assert run(["gradcheck", "--model", model, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "seed" in err and ">= 0" in err
 
     def test_checkpoint_on_images_of_another_size(self, tmp_path, manifest, capsys):
         model = make_model("resnet-mini", {"num_classes": 2, "image_size": 32})

@@ -177,10 +177,8 @@ class TestDepthwiseSeparable:
         y = depthwise_separable(Tensor(x), params, stride=1)
 
         # reference straight from the tensor module
-        dw = T.conv2d(Tensor(x), params["dw.w"], padding=1, groups=cin)
-        dw = T.relu(T.add(dw, T.reshape(params["dw.b"], (1, cin, 1, 1))))
-        pw = T.conv2d(dw, params["pw.w"])
-        ref = T.relu(T.add(pw, T.reshape(params["pw.b"], (1, cout, 1, 1))))
+        dw = T.relu(T.conv2d(Tensor(x), params["dw.w"], params["dw.b"], padding=1, groups=cin))
+        ref = T.relu(T.conv2d(dw, params["pw.w"], params["pw.b"]))
         assert np.max(np.abs(y.data - ref.data)) < 1e-10
 
 
@@ -194,15 +192,11 @@ class TestZeroWeightReduction:
                 p.data = np.zeros_like(p.data)
         rng = np.random.default_rng(9)
         x = rng.random((1, 3, 8, 8))
-        stem = T.relu(T.add(
-            T.conv2d(Tensor(x), model.params["stem.w"], padding=1),
-            T.reshape(model.params["stem.b"], (1, 4, 1, 1))))
-        h = stem
-        for s, w in enumerate([4, 8]):
+        h = T.relu(T.conv2d(Tensor(x), model.params["stem.w"], model.params["stem.b"],
+                            padding=1))
+        for s in range(2):
             blk = model.block_params(s, 0)
-            sc = T.add(T.conv2d(h, blk["proj.w"], stride=2),
-                       T.reshape(blk["proj.b"], (1, w, 1, 1)))
-            h = T.relu(sc)
+            h = T.relu(T.conv2d(h, blk["proj.w"], blk["proj.b"], stride=2))
         feat = T.global_avg_pool(h)
         expected = T.add(T.matmul(feat, model.params["head.w"]), model.params["head.b"])
         assert np.allclose(model.forward_batch(x).data, expected.data)

@@ -92,6 +92,19 @@ class TestLinear:
         for g1, g2 in zip(grads1, grads2):
             assert g1.dtype == dtype and np.array_equal(g1, g2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leading_axes_same_bits_as_2d_rows(self, dtype):
+        rng = np.random.default_rng(27)
+        arrays = [rng.normal(size=s).astype(dtype) for s in [(2, 7, 24), (24, 10), (10,)]]
+        wts = rng.normal(size=(2, 7, 10)).astype(dtype)
+        y1, grads1 = _value_and_grads(T.linear, arrays, wts)
+        y2, grads2 = _value_and_grads(
+            lambda x, w, b: T.reshape(T.linear(T.reshape(x, (-1, 24)), w, b), (2, 7, 10)),
+            arrays, wts)
+        assert y1.shape == (2, 7, 10) and y1.dtype == dtype and np.array_equal(y1, y2)
+        for g1, g2 in zip(grads1, grads2):
+            assert g1.dtype == dtype and np.array_equal(g1, g2)
+
     def test_input_without_grad_gets_none(self):
         rng = np.random.default_rng(26)
         x = Tensor(rng.normal(size=(3, 4)))
@@ -105,7 +118,8 @@ class TestLinear:
     @pytest.mark.parametrize("shapes", [
         [(3, 4), (5, 2), (2,)],
         [(3, 4), (4, 2), (3,)],
-        [(2, 3, 4), (4, 2), (2,)],
+        [(2, 3, 4), (5, 2), (2,)],
+        [(), (4, 2), (2,)],
         [(3, 4), (4, 2), (1, 2)],
     ])
     def test_shape_mismatch(self, shapes):
@@ -208,8 +222,14 @@ class TestTranspose:
             T.transpose(Tensor(np.zeros((2, 3, 4))), (0, 0, 1))
 
 
-def _conv2d_loop(x, k, stride, padding, groups):
-    """Plain nested-loop cross-correlation: the reference for conv2d."""
+def _no_bias(k):
+    """A zero (Cout,) conv2d bias for the kernel ``k``, of its dtype."""
+    return Tensor(np.zeros(k.shape[0], k.data.dtype))
+
+
+def _conv2d_loop(x, k, bias, stride, padding, groups):
+    """Plain nested-loop cross-correlation plus a per-channel bias: the
+    reference for conv2d."""
     b, cin, h, w = x.shape
     cout, cg, kh, kw = k.shape
     (sh, sw), (ph, pw) = stride, padding
@@ -229,7 +249,7 @@ def _conv2d_loop(x, k, stride, padding, groups):
                         for i in range(kh):
                             for j in range(kw):
                                 acc += xp[n, c0 + ci, r * sh + i, c * sw + j] * k[o, ci, i, j]
-                    y[n, o, r, c] = acc
+                    y[n, o, r, c] = acc + bias[o]
     return y
 
 
@@ -282,8 +302,10 @@ class TestConv2d:
         rng = np.random.default_rng(11)
         x = rng.normal(size=x_shape)
         k = rng.normal(size=k_shape)
-        y = T.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding, groups=groups)
-        ref = _conv2d_loop(x, k, stride, padding, groups)
+        bias = rng.normal(size=k_shape[0])
+        y = T.conv2d(Tensor(x), Tensor(k), Tensor(bias), stride=stride, padding=padding,
+                     groups=groups)
+        ref = _conv2d_loop(x, k, bias, stride, padding, groups)
         assert y.shape == ref.shape
         assert np.max(np.abs(y.data - ref)) < 1e-12
 
@@ -292,13 +314,13 @@ class TestConv2d:
                                                    groups):
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=x_shape), requires_grad=True)
-        k = rng.normal(size=k_shape)
+        k = Tensor(rng.normal(size=k_shape))
         with Tape() as tape:
-            y = T.conv2d(x, Tensor(k), stride=stride, padding=padding, groups=groups)
+            y = T.conv2d(x, k, _no_bias(k), stride=stride, padding=padding, groups=groups)
             g = rng.normal(size=y.shape)
             loss = T.tsum(T.mul(y, Tensor(g)))
         backward(loss, tape)
-        ref = _conv2d_loop_dx(g, k, x_shape, stride, padding, groups)
+        ref = _conv2d_loop_dx(g, k.data, x_shape, stride, padding, groups)
         assert np.max(np.abs(x.grad - ref)) < 1e-12
 
     @pytest.mark.parametrize("kwargs", [
@@ -319,7 +341,31 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 2, 8, 8)))
         k = Tensor(np.zeros((2, 2, 3, 3)))
         with pytest.raises(ConfigurationError):
-            T.conv2d(x, k, **kwargs)
+            T.conv2d(x, k, _no_bias(k), **kwargs)
+
+    @pytest.mark.parametrize("bias_shape", [(3,), (1, 2), (1, 2, 1, 1), ()])
+    def test_bias_not_one_per_output_channel(self, bias_shape):
+        x = Tensor(np.zeros((1, 2, 8, 8)))
+        k = Tensor(np.zeros((2, 2, 3, 3)))
+        with pytest.raises(DimensionError, match="bias"):
+            T.conv2d(x, k, Tensor(np.zeros(bias_shape)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_same_bits_as_conv_then_broadcast_add(self, dtype):
+        rng = np.random.default_rng(14)
+        arrays = [rng.normal(size=s).astype(dtype) for s in [(2, 4, 7, 6), (6, 2, 3, 3), (6,)]]
+        wts = rng.normal(size=(2, 6, 4, 3)).astype(dtype)
+        kwargs = {"stride": 2, "padding": 1, "groups": 2}
+
+        def conv_then_add(x, k, b):
+            y = T.conv2d(x, k, _no_bias(k), **kwargs)
+            return T.add(y, T.reshape(b, (1, 6, 1, 1)))
+
+        y1, grads1 = _value_and_grads(lambda x, k, b: T.conv2d(x, k, b, **kwargs), arrays, wts)
+        y2, grads2 = _value_and_grads(conv_then_add, arrays, wts)
+        assert y1.dtype == dtype and np.array_equal(y1, y2)
+        for g1, g2 in zip(grads1, grads2):
+            assert g1.dtype == dtype and np.array_equal(g1, g2)
 
     def test_grouped_strided_padded_gradient(self):
         rng = np.random.default_rng(12)
@@ -327,7 +373,8 @@ class TestConv2d:
         k = Tensor(rng.normal(size=(6, 2, 3, 3)), requires_grad=True)
         w = rng.random((2, 6, 3, 3))
         err = gradcheck(
-            lambda: T.tsum(T.mul(T.conv2d(x, k, stride=2, padding=1, groups=2), Tensor(w))),
+            lambda: T.tsum(T.mul(T.conv2d(x, k, _no_bias(k), stride=2, padding=1, groups=2),
+                                 Tensor(w))),
             [x, k],
         )
         assert err < 1e-3
@@ -336,13 +383,13 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         x = Tensor(rng.random((1, 1, 4, 4)))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        y = T.conv2d(x, k)
+        y = T.conv2d(x, k, _no_bias(k))
         assert np.allclose(y.data, x.data)
 
     def test_all_ones_valid(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        y = T.conv2d(x, k)
+        y = T.conv2d(x, k, _no_bias(k))
         assert y.shape == (1, 1, 1, 1)
         assert y.data[0, 0, 0, 0] == 9.0
 
@@ -350,7 +397,7 @@ class TestConv2d:
         rng = np.random.default_rng(2)
         x = Tensor(rng.random((1, 2, 5, 5)))
         k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-        err = gradcheck(lambda: T.tsum(T.conv2d(x, k)), [k])
+        err = gradcheck(lambda: T.tsum(T.conv2d(x, k, _no_bias(k))), [k])
         assert err < 1e-3
 
     def test_input_gradient_strided_padded(self):
@@ -359,7 +406,7 @@ class TestConv2d:
         k = Tensor(rng.normal(size=(4, 2, 3, 3)))
         w = rng.random((2, 4, 3, 3))
         err = gradcheck(
-            lambda: T.tsum(T.mul(T.conv2d(x, k, stride=2, padding=1), Tensor(w))),
+            lambda: T.tsum(T.mul(T.conv2d(x, k, _no_bias(k), stride=2, padding=1), Tensor(w))),
             [x],
         )
         assert err < 1e-3
@@ -369,7 +416,7 @@ class TestConv2d:
         x = Tensor(rng.random((1, 4, 5, 5)), requires_grad=True)
         k = Tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True)
         err = gradcheck(
-            lambda: T.tsum(T.conv2d(x, k, padding=1, groups=4)), [x, k]
+            lambda: T.tsum(T.conv2d(x, k, _no_bias(k), padding=1, groups=4)), [x, k]
         )
         assert err < 1e-3
 
@@ -377,13 +424,13 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 1, 2, 2)))
         k = Tensor(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ConfigurationError):
-            T.conv2d(x, k)
+            T.conv2d(x, k, _no_bias(k))
 
     def test_bad_groups(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
         k = Tensor(np.zeros((2, 1, 3, 3)))
         with pytest.raises(ConfigurationError):
-            T.conv2d(x, k, groups=2)
+            T.conv2d(x, k, _no_bias(k), groups=2)
 
 
 def _max_pool_loop(x, k):
@@ -764,6 +811,7 @@ _FLOAT32_CASES = {
     "tsum": lambda x: T.tsum(x(2, 3, 4), axis=1),
     "matmul": lambda x: T.matmul(x(2, 3), x(3, 4)),
     "linear": lambda x: T.linear(x(2, 3), x(3, 4), x(4)),
+    "linear_3d": lambda x: T.linear(x(2, 3, 4), x(4, 5), x(5)),
     "attention": lambda x: T.attention(x(2, 3, 4), x(2, 3, 4), x(2, 3, 5), 0.5)[0],
     "relu": lambda x: T.relu(x(3, 4)),
     "gelu": lambda x: T.gelu(x(3, 4)),
@@ -771,13 +819,14 @@ _FLOAT32_CASES = {
     "layer_norm": lambda x: T.layer_norm(x(2, 3, 4), x(4), x(4)),
     "dropout": lambda x: T.dropout(x(4, 8), 0.5, np.random.default_rng(0)),
     "cross_entropy": lambda x: T.cross_entropy(x(3, 4), [0, 3, 1]),
-    "conv2d": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 4, 3, 3), padding=1),
-    "conv2d_groups_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 2, 3, 3), padding=1, groups=2),
-    "conv2d_depthwise": lambda x: T.conv2d(x(2, 4, 6, 6), x(4, 1, 3, 3), stride=2,
+    "conv2d": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 4, 3, 3), x(6), padding=1),
+    "conv2d_groups_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 2, 3, 3), x(6), padding=1,
+                                          groups=2),
+    "conv2d_depthwise": lambda x: T.conv2d(x(2, 4, 6, 6), x(4, 1, 3, 3), x(4), stride=2,
                                            padding=1, groups=4),
-    "conv2d_1x1_stride_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 4, 1, 1), stride=2),
-    "conv2d_stride_2_3": lambda x: T.conv2d(x(2, 3, 7, 8), x(4, 3, 3, 3), stride=(2, 3),
-                                            padding=1),
+    "conv2d_1x1_stride_2": lambda x: T.conv2d(x(2, 4, 5, 5), x(6, 4, 1, 1), x(6), stride=2),
+    "conv2d_stride_2_3": lambda x: T.conv2d(x(2, 3, 7, 8), x(4, 3, 3, 3), x(4),
+                                            stride=(2, 3), padding=1),
     "max_pool2d": lambda x: T.max_pool2d(x(2, 3, 4, 4), 2),
     "global_avg_pool": lambda x: T.global_avg_pool(x(2, 3, 4, 4)),
 }

@@ -394,6 +394,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ViTConfig(embed_dim=30, num_heads=4)
 
+    # an infinite product overflows round(); a tiny one rounds to no width
+    @pytest.mark.parametrize("mlp_ratio", [1e308, 1e-9])
+    def test_mlp_hidden_width_is_a_finite_int_of_at_least_one(self, mlp_ratio):
+        with pytest.raises(ConfigurationError, match="hidden width"):
+            ViTConfig(mlp_ratio=mlp_ratio)
+
     def test_parameter_names_deterministic(self):
         m1 = desk_model(seed=1)
         m2 = desk_model(seed=2)
