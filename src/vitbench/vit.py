@@ -39,7 +39,7 @@ class ViTConfig:
             check_int(f"ViT {name}", getattr(self, name))
         check_int("ViT num_layers", self.num_layers, minimum=0)
         try:  # round() refuses inf and nan, and float() an embed_dim past its range
-            ok = is_real(self.mlp_ratio) and round(self.mlp_ratio * self.embed_dim) >= 1
+            ok = is_real(self.mlp_ratio) and self.mlp_hidden >= 1
         except (OverflowError, ValueError):
             ok = False
         if not ok:
