@@ -447,7 +447,8 @@ def generate_synthetic(
     """Write a synthetic PPM dataset + manifest; byte-identical per seed.
 
     Returns the manifest path.  ``angle_offset`` shifts the whole class
-    family so two generated datasets form disjoint tasks.
+    family so two generated datasets form disjoint tasks.  An
+    ``image_size`` too large to allocate is a :class:`ConfigurationError`.
     """
     check_int("num_classes", num_classes)
     check_int("per_class", per_class)
@@ -465,8 +466,14 @@ def generate_synthetic(
     entries = []
     for cls in range(num_classes):
         for i in range(per_class):
-            img = _class_image(cls, num_classes, image_size, rng,
-                               angle_offset=angle_offset, noise=noise)
+            try:
+                img = _class_image(cls, num_classes, image_size, rng,
+                                   angle_offset=angle_offset, noise=noise)
+            # numpy refuses an oversized array with MemoryError, or with
+            # ValueError when its byte count passes the address range
+            except (MemoryError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"cannot allocate images of image_size {image_size}: {exc}") from exc
             rel = f"class{cls}_{i:04d}.ppm"
             (out_dir / rel).write_bytes(encode_ppm(img))
             entries.append((rel, cls))

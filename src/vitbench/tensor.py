@@ -407,35 +407,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (x, w, b), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention ``softmax(q kᵀ · scale) v`` as one op.
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention on (…, T, D) inputs, as one op.
 
-    ``q``, ``k`` and ``v`` are heads-first (…, T, d_h).  Returns the output
-    tensor and the (…, T, T) attention weights ``a``, the array the
-    backward keeps.  With ``s = q kᵀ · scale`` and output gradient ``g``
-    the backward is ``dv = aᵀ g``, ``ds = a·(da − Σ da·a)·scale`` where
-    ``da = g vᵀ``, then ``dq = ds k`` and ``dk = dsᵀ q``.
+    Head ``i`` owns columns ``[i·d_h, (i+1)·d_h)`` of each input, split off
+    as views, and computes ``softmax(q kᵀ · scale) v`` with ``scale = 1/√d_h``.
+    Returns the (…, T, D) output and the (…, h, T, T) weights ``a`` the
+    backward keeps: per head ``dv = aᵀ g``, ``ds = a·(da − Σ da·a)·scale``
+    with ``da = g vᵀ``, then ``dq = ds k`` and ``dk = dsᵀ q``.
     """
-    if q.ndim < 2 or k.shape != q.shape or v.shape[:-1] != k.shape[:-1]:
+    if q.ndim < 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    # a constant of the operands' dtype, as ``mul`` by a scalar tensor would use
-    scale = q.data.dtype.type(scale)
-    s = np.matmul(q.data, k.data.swapaxes(-1, -2))
+    *lead, t, d = q.shape
+    check_int("attention num_heads", num_heads)
+    if d % num_heads:
+        raise ConfigurationError(f"embed dim {d} not divisible by {num_heads} heads")
+    split = (*lead, t, num_heads, d // num_heads)
+
+    def heads(x: np.ndarray) -> np.ndarray:  # (…, T, D) -> (…, h, T, d_h)
+        return x.reshape(split).swapaxes(-2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.swapaxes(-2, -3).reshape(q.shape)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    scale = q.data.dtype.type(1 / math.sqrt(split[-1]))
+    s = np.matmul(qh, kh.swapaxes(-1, -2))
     s *= scale
     a = _softmax(s, -1, out=s)
-    out = Tensor(np.matmul(a, v.data))
+    out = Tensor(merge(np.matmul(a, vh)))
 
     def bw(g):
+        g = heads(g)
         dq = dk = dv = None
         if v.requires_grad:
-            dv = np.matmul(a.swapaxes(-1, -2), g)
+            dv = merge(np.matmul(a.swapaxes(-1, -2), g))
         if q.requires_grad or k.requires_grad:
-            ds = _softmax_grad(a, np.matmul(g, v.data.swapaxes(-1, -2)), -1)
+            ds = _softmax_grad(a, np.matmul(g, vh.swapaxes(-1, -2)), -1)
             ds *= scale
             if q.requires_grad:
-                dq = np.matmul(ds, k.data)
+                dq = merge(np.matmul(ds, kh))
             if k.requires_grad:
-                dk = np.matmul(ds.swapaxes(-1, -2), q.data)
+                dk = merge(np.matmul(ds.swapaxes(-1, -2), qh))
         return [(q, dq), (k, dk), (v, dv)]
 
     return _finish(out, (q, k, v), bw), a

@@ -16,6 +16,7 @@ from .errors import (
     ContractError,
     EmptyDatasetError,
     TrainingError,
+    ValidationError,
     check_int,
     is_real,
 )
@@ -167,13 +168,24 @@ def _dataset_name(manifest: D.DatasetManifest) -> str:
     return manifest.name
 
 
+def _check_class_count(model, manifest: D.DatasetManifest) -> None:
+    """A manifest must name as many classes as the model predicts."""
+    if manifest.num_classes != model.config.num_classes:
+        raise ValidationError(
+            f"manifest {manifest.name!r} has {manifest.num_classes} classes, "
+            f"but the {model.kind} model predicts {model.config.num_classes}")
+
+
 def evaluate(model, manifest: D.DatasetManifest,
              cache: D.ImageCache | None = None,
              epoch: int = 0, split: str = "val"):
     """Deterministic inference pass -> (MetricsRecord, ConfusionMatrix).
-    Batches of 64 stream in the model's dtype: one is decoded at a time."""
+    Batches of 64 stream in the model's dtype: one is decoded at a time.
+    A manifest whose class count is not the model's is a
+    :class:`ValidationError`, raised before any image is decoded."""
     if not manifest.entries:
         raise EmptyDatasetError(f"cannot evaluate on empty manifest {manifest.name!r}")
+    _check_class_count(model, manifest)
     cm = ConfusionMatrix(manifest.num_classes)
     total_loss = 0.0
     batches = D.make_batches(manifest, batch_size=64, shuffle=False, cache=cache,
@@ -202,15 +214,20 @@ def train(model, train_manifest: D.DatasetManifest,
     step, and batches stream from it in the model's dtype.  Adam updates
     exactly the parameters with ``requires_grad``; the rest stay as they
     are.  A non-finite loss, or a trainable parameter that is not finite
-    at the end of an epoch, is a :class:`TrainingError`."""
+    at the end of an epoch, is a :class:`TrainingError`; a training or
+    validation manifest whose class count is not the model's is a
+    :class:`ValidationError`, raised before any image is decoded."""
     if not train_manifest.entries:
         raise EmptyDatasetError("training manifest is empty")
+    manifests = list(filter(None, (train_manifest, val_manifest)))
+    for manifest in manifests:
+        _check_class_count(model, manifest)
     cache = D.ImageCache()
     # decode every training and validation image once, before the first
     # step: the cache holds them all after one epoch anyway, and images
     # decoded between steps leave long-lived arrays among the steps' freed
     # buffers, which fragments the heap and raises peak memory
-    for manifest in filter(None, (train_manifest, val_manifest)):
+    for manifest in manifests:
         for rel, _ in manifest.entries:
             cache.get(manifest.resolve(rel), model.config.dtype)
     opt = Adam({k: p for k, p in model.params.items() if p.requires_grad}, lr=cfg.lr)

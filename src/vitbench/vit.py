@@ -129,31 +129,17 @@ def multi_head_attention(x: Tensor, block: dict, num_heads: int, return_weights:
     """Scaled dot-product attention over num_heads subspaces of width D/h.
 
     ``x`` is (…, T, D).  The q/k/v/o projections are :func:`tensor.linear`
-    ops on it; q, k and v are reshaped heads-first to
-    (…, h, T, D/h), and one :func:`tensor.attention` op per call computes
-    the scores, the softmax and the weighted values of every head.  With
-    ``return_weights`` the (…, T, T) attention weights of each head come
-    back as a list of h tensors: views of the weights the attention op
-    keeps for its backward, not recorded on the tape.
+    ops on it, and one :func:`tensor.attention` op between them splits
+    the heads and computes the scores, the softmax and the weighted values
+    of every head.  With ``return_weights`` the (…, T, T) attention weights
+    of each head come back as a list of h tensors: views of the weights the
+    attention op keeps for its backward, not recorded on the tape.
     """
-    *lead, t, d = x.shape
-    if d % num_heads:
-        raise ConfigurationError(f"embed dim {d} not divisible by {num_heads} heads")
-    h, dh = num_heads, d // num_heads
-    n = len(lead)
-    # swaps the T and h axes, so it is its own inverse
-    heads_first = (*range(n), n + 1, n, n + 2)
-
-    def project(name: str) -> Tensor:
-        y = T.linear(x, block["attn.w" + name], block["attn.b" + name])
-        return T.transpose(T.reshape(y, (*lead, t, h, dh)), heads_first)
-
-    q, k, v = (project(name) for name in "qkv")
-    heads, a = T.attention(q, k, v, 1.0 / np.sqrt(dh))
-    heads = T.reshape(T.transpose(heads, heads_first), x.shape)
+    q, k, v = (T.linear(x, block["attn.w" + nm], block["attn.b" + nm]) for nm in "qkv")
+    heads, a = T.attention(q, k, v, num_heads)
     out = T.linear(heads, block["attn.wo"], block["attn.bo"])
     if return_weights:
-        return out, [Tensor(a[(slice(None),) * n + (i,)]) for i in range(h)]
+        return out, [Tensor(a[..., i, :, :]) for i in range(num_heads)]
     return out
 
 

@@ -231,6 +231,24 @@ class TestBadInputs:
                                    params=params), ckpt)
         self.expect_error(["evaluate", ckpt, manifest], capsys, "'head.b'", "non-finite")
 
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_manifest_of_another_class_count(self, tmp_path, manifest, capsys, command):
+        """A 3-class checkpoint on the 2-class manifest, or a 3-class target
+        with that 2-class validation set: refused before any image is read."""
+        three = D.generate_synthetic(tmp_path / "three", "three", 3, 2, seed=2)
+        model = make_model("vit", {"num_classes": 3})
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(kind="vit", config=model.config.to_dict(),
+                                   params=snapshot_params(model)), ckpt)
+        argv = {"evaluate": ["evaluate", ckpt, manifest],
+                "finetune": ["finetune", ckpt, three, "--val-manifest", manifest,
+                             "--epochs", "1", "--out", tmp_path / "ft"]}[command]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "'d' has 2 classes" in err and "predicts 3" in err
+        assert not (tmp_path / "ft").exists()
+
     def test_pretrain_on_a_directory(self, tmp_path, capsys):
         self.expect_error(["pretrain", tmp_path, "--epochs", "1"], capsys)
 

@@ -445,6 +445,14 @@ class TestSynthetic:
             D.generate_synthetic(tmp_path / "out", "bad", **kwargs)
         assert not (tmp_path / "out").exists()
 
+    # past the address space, or past numpy's byte-count range: no
+    # allocation of these sizes can succeed
+    @pytest.mark.parametrize("image_size", [10**7, 10**10])
+    def test_image_size_too_large_to_allocate(self, tmp_path, image_size):
+        with pytest.raises(ConfigurationError, match=f"image_size {image_size}"):
+            D.generate_synthetic(tmp_path / "out", "huge", 2, 1, image_size=image_size)
+        assert not list((tmp_path / "out").iterdir())
+
     def test_values_in_range(self, tmp_path):
         path = D.generate_synthetic(tmp_path, "rng", 3, 2, seed=13)
         manifest = D.load_manifest(path)

@@ -127,70 +127,91 @@ class TestLinear:
             T.linear(*(Tensor(np.zeros(s)) for s in shapes))
 
 
-def _composed_attention(q, k, v, scale, g):
-    """The attention core as the separate ops it replaces, forward and
-    backward in their order: the batched products, the scale, the softmax.
+def _composed_attention(q, k, v, num_heads, g):
+    """The attention op as the separate ops it replaces, forward and backward
+    in their order: the head split to (…, h, T, d_h) views, the batched
+    products, the scale, the softmax, and the heads merged back to (…, T, D).
     Returns the output and the gradients of q, k and v."""
+    shape = q.shape
+    *lead, t, d = shape
+    dh = d // num_heads
+
+    def heads(x):
+        return x.reshape(*lead, t, num_heads, dh).swapaxes(-2, -3)
+
+    def merge(x):
+        return x.swapaxes(-2, -3).reshape(shape)
+
+    q, k, v, g = (heads(x) for x in (q, k, v, g))
+    scale = np.array(1.0 / np.sqrt(dh), q.dtype)
     k_t = k.swapaxes(-1, -2)
-    s = np.matmul(q, k_t) * np.array(scale, q.dtype)
+    s = np.matmul(q, k_t) * scale
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
     out = np.matmul(a, v)
     da = np.matmul(g, v.swapaxes(-1, -2))
-    ds = a * (da - (da * a).sum(axis=-1, keepdims=True)) * np.array(scale, q.dtype)
+    ds = a * (da - (da * a).sum(axis=-1, keepdims=True)) * scale
     dq = np.matmul(ds, k_t.swapaxes(-1, -2))
     dk = np.matmul(q.swapaxes(-1, -2), ds).swapaxes(-1, -2)
     dv = np.matmul(a.swapaxes(-1, -2), g)
-    return out, [dq, dk, dv]
+    return merge(out), [merge(dq), merge(dk), merge(dv)]
 
 
 class TestAttention:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(27)
-        q, k, v = (Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True) for _ in range(3))
-        wts = rng.random((2, 3, 5, 4))
+        q, k, v = (Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True) for _ in range(3))
+        wts = rng.random((2, 5, 8))
         err = gradcheck(
-            lambda: T.tsum(T.mul(T.attention(q, k, v, 0.5)[0], Tensor(wts))), [q, k, v])
+            lambda: T.tsum(T.mul(T.attention(q, k, v, 2)[0], Tensor(wts))), [q, k, v])
         assert err < 1e-3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_same_bits_as_composed_ops(self, dtype):
         rng = np.random.default_rng(28)
-        # heads-first views of (B, T, h, d_h) projections, as in the model
-        q, k, v = (rng.normal(size=(4, 17, 4, 16)).astype(dtype).transpose(0, 2, 1, 3)
-                   for _ in range(3))
+        # (B, T, D) projections with 4 heads of width 16, as in the model
+        q, k, v = (rng.normal(size=(4, 17, 64)).astype(dtype) for _ in range(3))
         wts = rng.normal(size=q.shape).astype(dtype)
-        scale = 1.0 / np.sqrt(16)
-        y, grads = _value_and_grads(lambda *t: T.attention(*t, scale)[0], [q, k, v], wts)
-        y_ref, grads_ref = _composed_attention(q, k, v, scale, wts)
-        assert y.dtype == dtype and np.array_equal(y, y_ref)
+        y, grads = _value_and_grads(lambda *t: T.attention(*t, 4)[0], [q, k, v], wts)
+        y_ref, grads_ref = _composed_attention(q, k, v, 4, wts)
+        assert y.shape == q.shape and y.dtype == dtype and np.array_equal(y, y_ref)
         for g, g_ref in zip(grads, grads_ref):
             assert g.dtype == dtype and np.array_equal(g, g_ref)
 
     def test_returns_the_row_stochastic_weights(self):
         rng = np.random.default_rng(29)
-        q, k, v = (Tensor(rng.normal(size=(3, 6, 2))) for _ in range(3))
-        out, a = T.attention(q, k, v, 0.7)
-        assert a.shape == (3, 6, 6)
+        q, k, v = (Tensor(rng.normal(size=(3, 6, 4))) for _ in range(3))
+        out, a = T.attention(q, k, v, 2)
+        assert a.shape == (3, 2, 6, 6)
         assert np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-        assert np.allclose(out.data, a @ v.data, rtol=0, atol=1e-12)
+        # head i reads and writes columns [2i, 2i + 2)
+        for i in range(2):
+            cols = slice(2 * i, 2 * i + 2)
+            assert np.allclose(out.data[..., cols], a[:, i] @ v.data[..., cols],
+                               rtol=0, atol=1e-12)
 
     def test_inputs_without_grad_get_none(self):
         rng = np.random.default_rng(30)
-        q = Tensor(rng.normal(size=(2, 4, 3)))
-        k = Tensor(rng.normal(size=(2, 4, 3)))
-        v = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        dq, dk, dv = _backward_grads(lambda *t: T.attention(*t, 1.0)[0], q, k, v)
+        q = Tensor(rng.normal(size=(2, 4, 6)))
+        k = Tensor(rng.normal(size=(2, 4, 6)))
+        v = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        dq, dk, dv = _backward_grads(lambda *t: T.attention(*t, 3)[0], q, k, v)
         assert dq is None and dk is None and dv.shape == v.shape
 
     @pytest.mark.parametrize("shapes", [
         [(2, 4, 3), (2, 5, 3), (2, 5, 3)],
         [(2, 4, 3), (2, 4, 3), (2, 5, 3)],
         [(3,), (3,), (3,)],
+        [(2, 4, 3), (2, 4, 3), (2, 4, 6)],
     ])
     def test_shape_mismatch(self, shapes):
         with pytest.raises(DimensionError, match="attention"):
-            T.attention(*(Tensor(np.zeros(s)) for s in shapes), 1.0)
+            T.attention(*(Tensor(np.zeros(s)) for s in shapes), 1)
+
+    @pytest.mark.parametrize("num_heads", [3, 5, 0, -2, 2.0, True])
+    def test_heads_not_dividing_the_width(self, num_heads):
+        with pytest.raises(ConfigurationError, match="heads"):
+            T.attention(*(Tensor(np.zeros((2, 3, 4))) for _ in range(3)), num_heads)
 
 
 class TestNoGradientForConstants:
@@ -812,7 +833,7 @@ _FLOAT32_CASES = {
     "matmul": lambda x: T.matmul(x(2, 3), x(3, 4)),
     "linear": lambda x: T.linear(x(2, 3), x(3, 4), x(4)),
     "linear_3d": lambda x: T.linear(x(2, 3, 4), x(4, 5), x(5)),
-    "attention": lambda x: T.attention(x(2, 3, 4), x(2, 3, 4), x(2, 3, 5), 0.5)[0],
+    "attention": lambda x: T.attention(x(2, 3, 4), x(2, 3, 4), x(2, 3, 4), 2)[0],
     "relu": lambda x: T.relu(x(3, 4)),
     "gelu": lambda x: T.gelu(x(3, 4)),
     "softmax": lambda x: T.softmax(x(3, 5), axis=-1),

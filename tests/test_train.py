@@ -51,6 +51,24 @@ def tiny_task(tmp_path):
     return D.load_manifest(path)
 
 
+def _record_forward_and_decode(model, monkeypatch) -> list:
+    """Record every ``model.forward_batch`` call and every image decode."""
+    calls = []
+    forward, load = model.forward_batch, D.load_image
+
+    def recording_forward(images):
+        calls.append("forward")
+        return forward(images)
+
+    def recording_load(path, dtype):
+        calls.append("load")
+        return load(path, dtype)
+
+    model.forward_batch = recording_forward
+    monkeypatch.setattr(D, "load_image", recording_load)
+    return calls
+
+
 class TestAdam:
     def test_first_step_magnitude_about_lr(self):
         p = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)
@@ -145,6 +163,14 @@ class TestTrain:
         with pytest.raises(TrainingError, match="non-finite loss at epoch 0, batch 1"):
             train(model, tiny_task, None, TrainConfig(epochs=1, batch_size=8, lr=1e300))
 
+    def test_val_manifest_of_another_class_count(self, tiny_task, tmp_path, monkeypatch):
+        model = make_model("vit", {"num_classes": 3}, seed=0)
+        val = D.load_manifest(D.generate_synthetic(tmp_path / "val", "two", 2, 2, seed=3))
+        calls = _record_forward_and_decode(model, monkeypatch)
+        with pytest.raises(ValidationError, match=r"'two' has 2 classes.*predicts 3"):
+            train(model, tiny_task, val, TrainConfig(epochs=1, batch_size=4))
+        assert calls == []
+
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
@@ -224,6 +250,14 @@ class TestEvaluate:
         with pytest.raises(EmptyDatasetError):
             evaluate(model, manifest)
 
+    def test_manifest_of_another_class_count(self, tmp_path, monkeypatch):
+        model = make_model("vit", {"num_classes": 3}, seed=0)
+        two = D.load_manifest(D.generate_synthetic(tmp_path, "two", 2, 2, seed=3))
+        calls = _record_forward_and_decode(model, monkeypatch)
+        with pytest.raises(ValidationError, match=r"'two' has 2 classes.*predicts 3"):
+            evaluate(model, two)
+        assert calls == []
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_holds_at_most_one_earlier_batch(self, tmp_path, dtype):
         """``evaluate`` streams its batches in the model's dtype: while a
@@ -238,7 +272,7 @@ class TestEvaluate:
 
         class Recording:
             kind = "recording"
-            config = ViTConfig(dtype=dtype)
+            config = ViTConfig(dtype=dtype, num_classes=2)
 
             def __init__(self):
                 self.seen = []
