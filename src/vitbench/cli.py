@@ -22,7 +22,7 @@ from . import data as D
 from . import tensor as T
 from .checkpoint import (Checkpoint, load_checkpoint, load_params_into,
                          save_checkpoint, snapshot_params)
-from .errors import ConfigurationError, ToolkitError
+from .errors import ConfigurationError, ToolkitError, ValidationError
 from .train import (
     MODEL_KINDS,
     TrainConfig,
@@ -209,7 +209,7 @@ def cmd_evaluate(args) -> int:
     manifest = D.load_manifest(args.manifest)
     model = make_model(ckpt.kind, ckpt.config, seed=0)
     load_params_into(model, ckpt.params)
-    record, cm = evaluate(model, manifest, split=args.split)
+    record, cm = evaluate(model, manifest)
     print(f"accuracy={record.accuracy:.4f} loss={record.loss:.4f}")
     if manifest.num_classes == 2:
         print(f"TP={cm.tp} TN={cm.tn} FP={cm.fp} FN={cm.fn}")
@@ -217,16 +217,23 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """Run a model x dataset grid and emit the comparison CSV + summary."""
-    manifests = [D.load_manifest(p) for p in args.manifests]
+    """Run a model x dataset grid and emit the comparison CSV + summary.
+    Every manifest is split before any training, and one whose val split
+    is empty, so no model could be picked on it, is a ValidationError."""
+    splits = []
+    for path in args.manifests:
+        manifest = D.load_manifest(path)
+        tr, va, _ = D.split_dataset(manifest, D.SplitSpec(seed=args.seed))
+        if not va.entries:
+            raise ValidationError(f"dataset {manifest.name!r} leaves no validation images "
+                                  f"after the split, so no best model can be picked")
+        splits.append((tr, va))
     args.out.mkdir(parents=True, exist_ok=True)
     records = []
-    for manifest in manifests:
-        spec = D.SplitSpec(seed=args.seed)
-        tr, va, te = D.split_dataset(manifest, spec)
+    for tr, va in splits:
         for kind in args.models:
             cfg = _train_config(args)
-            model = make_model(kind, {"num_classes": manifest.num_classes}, seed=args.seed)
+            model = make_model(kind, {"num_classes": tr.num_classes}, seed=args.seed)
             history = train(model, tr, va, cfg)
             records.extend(history)
     csv_path = args.out / "comparison.csv"
@@ -300,7 +307,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = command("evaluate", help="evaluate a checkpoint on a manifest")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("manifest", type=Path)
-    p.add_argument("--split", default="test")
     _add_common(p, seed=False, out=False)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -137,7 +137,8 @@ class CnnModel(Model):
         pre = f"stages.{stage}.{j}."
         return {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
 
-    def forward_batch(self, images: np.ndarray) -> Tensor:
+    def forward_batch(self, images: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """B x C x H x W batch -> logits; ``rng`` goes unread (no dropout)."""
         cfg = self.config
         p = self.params
         vgg = cfg.kind == "vgg-mini"

@@ -4,8 +4,9 @@ split, deterministic batching, and synthetic dataset generation.
 A manifest is a line-oriented UTF-8 text file: comment-style header lines
 (``#classes: a,b,c`` is mandatory, ``#name:`` / ``#note:`` optional),
 then one ``relative/path<TAB>label_id`` entry per line.  A label id is
-ASCII decimal digits and a class name is non-empty.  Entry paths are
-resolved relative to the manifest's directory.
+ASCII decimal digits and a class name is non-empty.  No entry path
+appears twice.  Entry paths are resolved relative to the manifest's
+directory.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def load_manifest(path) -> DatasetManifest:
     name = path.stem
     note = ""
     entries = []
+    lines_of: dict[str, int] = {}  # entry path -> the line that named it
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -96,6 +98,10 @@ def load_manifest(path) -> DatasetManifest:
             # int() would also take "0_1", " +1 " and non-ASCII digits
             if not (parts[1].isascii() and parts[1].isdigit()):
                 raise FormatError(f"{path}:{lineno}: label {parts[1]!r} is not a decimal integer")
+            if parts[0] in lines_of:
+                raise FormatError(f"{path}:{lineno}: entry path {parts[0]!r} repeats "
+                                  f"line {lines_of[parts[0]]}")
+            lines_of[parts[0]] = lineno
             entries.append((parts[0], int(parts[1])))
     if class_names is None:
         raise FormatError(f"{path}: missing '#classes:' header")
@@ -461,7 +467,6 @@ def generate_synthetic(
         raise ConfigurationError(
             f"angle_offset must be >= 0 and finite times 1000, got {angle_offset!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     entries = []
     for cls in range(num_classes):
@@ -474,6 +479,8 @@ def generate_synthetic(
             except (MemoryError, ValueError) as exc:
                 raise ConfigurationError(
                     f"cannot allocate images of image_size {image_size}: {exc}") from exc
+            if not entries:  # made only once an image could be drawn
+                out_dir.mkdir(parents=True, exist_ok=True)
             rel = f"class{cls}_{i:04d}.ppm"
             (out_dir / rel).write_bytes(encode_ppm(img))
             entries.append((rel, cls))

@@ -117,12 +117,12 @@ class Model:
 
     A model has ``params`` (name -> Tensor), a ``kind``, a ``config`` with
     ``channels``, ``image_size``, ``dtype`` and ``to_dict()``,
-    ``forward_batch(images) -> logits`` and a ``train_mode`` flag that
-    ``train`` sets.  Parameters named ``head.*`` form the classification
-    head; fine-tuning replaces them and keeps the backbone.
+    ``forward_batch(images, rng=None) -> logits``, which draws dropout from
+    the generator ``rng`` when one is given.  Parameters named ``head.*``
+    form the classification head; fine-tuning replaces them and keeps the
+    backbone.
     """
 
-    train_mode = False
     params: dict
 
     def as_batch(self, images) -> np.ndarray:

@@ -209,13 +209,15 @@ def train(model, train_manifest: D.DatasetManifest,
           val_manifest: D.DatasetManifest | None, cfg: TrainConfig,
           stop_at_train_acc: float | None = None) -> list[MetricsRecord]:
     """Epoch loop: shuffled batches, cross-entropy, backward, Adam step,
-    then one validation pass per epoch.  Every training and validation
-    image is decoded into a fresh :class:`ImageCache` before the first
-    step, and batches stream from it in the model's dtype.  Adam updates
-    exactly the parameters with ``requires_grad``; the rest stay as they
-    are.  A non-finite loss, or a trainable parameter that is not finite
-    at the end of an epoch, is a :class:`TrainingError`; a training or
-    validation manifest whose class count is not the model's is a
+    then one validation pass per epoch.  An epoch's steps draw dropout from
+    one generator seeded by ``[cfg.seed, epoch, 1]``, apart from the
+    ``[seed, epoch]`` shuffle; validation draws none.  Every training and
+    validation image is decoded into a fresh :class:`ImageCache` before the
+    first step, and batches stream from it in the model's dtype.  Adam
+    updates exactly the parameters with ``requires_grad``; the rest stay as
+    they are.  A non-finite loss, or a trainable parameter that is not
+    finite at the end of an epoch, is a :class:`TrainingError`; a training
+    or validation manifest whose class count is not the model's is a
     :class:`ValidationError`, raised before any image is decoded."""
     if not train_manifest.entries:
         raise EmptyDatasetError("training manifest is empty")
@@ -232,53 +234,48 @@ def train(model, train_manifest: D.DatasetManifest,
             cache.get(manifest.resolve(rel), model.config.dtype)
     opt = Adam({k: p for k, p in model.params.items() if p.requires_grad}, lr=cfg.lr)
     history: list[MetricsRecord] = []
-    model.train_mode = True
-    try:
-        for epoch in range(cfg.epochs):
-            batches = D.make_batches(
-                train_manifest, cfg.batch_size, seed=cfg.seed, shuffle=True,
-                epoch=epoch, cache=cache, augment_cfg=cfg.augment,
-                dtype=model.config.dtype,
-            )
-            epoch_loss = 0.0
-            correct = 0
-            seen = 0
-            for b_idx, batch in enumerate(batches):
-                opt.zero_grad()
-                with Tape() as tape:
-                    logits = model.forward_batch(batch.images)
-                    loss = cross_entropy(logits, batch.labels)
-                if not np.isfinite(loss.item()):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {b_idx}"
-                    )
-                backward(loss, tape)
-                opt.step()
-                epoch_loss += loss.item() * len(batch.labels)
-                correct += int((np.argmax(logits.data, axis=1) == batch.labels).sum())
-                seen += len(batch.labels)
-            # once per epoch: each step's loss check covers the steps between
-            for name, p in opt.params.items():
-                if not np.isfinite(p.data).all():
-                    raise TrainingError(
-                        f"non-finite parameter {name!r} at epoch {epoch}, "
-                        f"after batch {b_idx}")
-            train_acc = correct / seen
-            history.append(MetricsRecord(
-                model=model.kind, dataset=_dataset_name(train_manifest),
-                epoch=epoch, split="train",
-                accuracy=train_acc, loss=epoch_loss / seen,
-            ))
-            if val_manifest is not None and val_manifest.entries:
-                model.train_mode = False
-                rec, _ = evaluate(model, val_manifest, cache=cache,
-                                  epoch=epoch, split="val")
-                model.train_mode = True
-                history.append(rec)
-            if stop_at_train_acc is not None and train_acc >= stop_at_train_acc:
-                break
-    finally:
-        model.train_mode = False
+    for epoch in range(cfg.epochs):
+        batches = D.make_batches(
+            train_manifest, cfg.batch_size, seed=cfg.seed, shuffle=True,
+            epoch=epoch, cache=cache, augment_cfg=cfg.augment,
+            dtype=model.config.dtype,
+        )
+        drop_rng = np.random.default_rng([cfg.seed, epoch, 1])
+        epoch_loss = 0.0
+        correct = 0
+        seen = 0
+        for b_idx, batch in enumerate(batches):
+            opt.zero_grad()
+            with Tape() as tape:
+                logits = model.forward_batch(batch.images, drop_rng)
+                loss = cross_entropy(logits, batch.labels)
+            if not np.isfinite(loss.item()):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, batch {b_idx}"
+                )
+            backward(loss, tape)
+            opt.step()
+            epoch_loss += loss.item() * len(batch.labels)
+            correct += int((np.argmax(logits.data, axis=1) == batch.labels).sum())
+            seen += len(batch.labels)
+        # once per epoch: each step's loss check covers the steps between
+        for name, p in opt.params.items():
+            if not np.isfinite(p.data).all():
+                raise TrainingError(
+                    f"non-finite parameter {name!r} at epoch {epoch}, "
+                    f"after batch {b_idx}")
+        train_acc = correct / seen
+        history.append(MetricsRecord(
+            model=model.kind, dataset=_dataset_name(train_manifest),
+            epoch=epoch, split="train",
+            accuracy=train_acc, loss=epoch_loss / seen,
+        ))
+        if val_manifest is not None and val_manifest.entries:
+            rec, _ = evaluate(model, val_manifest, cache=cache,
+                              epoch=epoch, split="val")
+            history.append(rec)
+        if stop_at_train_acc is not None and train_acc >= stop_at_train_acc:
+            break
     return history
 
 

@@ -162,7 +162,6 @@ class ViTClassifier(Model):
     def __init__(self, config: ViTConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self._drop_rng = np.random.default_rng(seed + 1)
         rng = np.random.default_rng(seed)
         d = config.embed_dim
 
@@ -205,34 +204,32 @@ class ViTClassifier(Model):
         pre = f"blocks.{i}."
         return {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
 
-    def _blocks(self, seq: Tensor) -> Tensor:
-        """The encoder blocks on a (…, T, D) stream, before the final norm."""
+    def _blocks(self, seq: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        """The encoder blocks on a (…, T, D) stream, before the final norm.
+        With ``rng`` each residual branch takes dropout drawn from it."""
+        p = self.config.dropout if rng is not None else 0.0
         x = seq
         for i in range(self.config.num_layers):
             blk = self.block_params(i)
             attn_in = T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"])
-            x = T.add(x, self._maybe_drop(multi_head_attention(attn_in, blk, self.config.num_heads)))
+            x = T.add(x, T.dropout(multi_head_attention(attn_in, blk, self.config.num_heads), p, rng))
             mlp_in = T.layer_norm(x, blk["norm2.gamma"], blk["norm2.beta"])
-            x = T.add(x, self._maybe_drop(_mlp(mlp_in, blk)))
+            x = T.add(x, T.dropout(_mlp(mlp_in, blk), p, rng))
         return x
 
     def _final_norm(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.params["final_norm.gamma"], self.params["final_norm.beta"])
 
-    def _maybe_drop(self, x: Tensor) -> Tensor:
-        if self.train_mode and self.config.dropout > 0.0:
-            return T.dropout(x, self.config.dropout, self._drop_rng)
-        return x
-
-    def forward_batch(self, images: np.ndarray) -> Tensor:
-        """B x C x H x W batch -> B x num_classes logits, in one batched pass."""
+    def forward_batch(self, images: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """B x C x H x W batch -> B x num_classes logits, in one batched pass.
+        Dropout applies only when a generator ``rng`` is given."""
         cfg = self.config
         images = self.as_batch(images)
         patches = Tensor(partition_and_flatten(images, cfg.patch_size))
         emb = embed_patches(patches, self.params["patch_proj.w"], self.params["patch_proj.b"])
         seq = add_positional(emb, self.params["cls_token"], self.params["pos_table"])
         # the final norm and the head read only the class-token rows
-        x = self._blocks(seq)
+        x = self._blocks(seq, rng)
         cls = self._final_norm(T.reshape(T.slice_axis(x, 1, 0, 1), (len(images), cfg.embed_dim)))
         return T.linear(cls, self.params["head.w"], self.params["head.b"])
 

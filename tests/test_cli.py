@@ -24,7 +24,7 @@ OPTIONS = {
     "gradcheck": ("--model", "--entries-per-param", "--config", "--seed"),
     "pretrain": ("--model", *SHARED, *TRAINING),
     "finetune": ("--val-manifest", "--freeze-backbone", *SHARED, *TRAINING),
-    "evaluate": ("--split", "--config"),
+    "evaluate": ("--config",),
     "compare": ("--models", *SHARED, *TRAINING),
 }
 # options each command took while no handler read them
@@ -32,7 +32,7 @@ REMOVED = {
     "gen-synthetic": TRAINING,
     "split": TRAINING,
     "gradcheck": ("--out", *TRAINING),
-    "evaluate": ("--seed", "--out", *TRAINING),
+    "evaluate": ("--seed", "--out", "--split", *TRAINING),
 }
 
 
@@ -375,7 +375,7 @@ class TestCompare:
             return [MetricsRecord(model.kind, "d", 0, "val", 0.8, 0.5)]
 
         monkeypatch.setattr(cli, "train", tied_train)
-        run(["gen-synthetic", "--name", "d", "--classes", "2", "--per-class", "5",
+        run(["gen-synthetic", "--name", "d", "--classes", "2", "--per-class", "10",
              "--out", tmp_path / "d", "--seed", "1"])
         code = run(["compare", tmp_path / "d" / "d.manifest",
                     "--models", "vit,vgg-mini", "--out", tmp_path / "out"])
@@ -384,6 +384,20 @@ class TestCompare:
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert footer.startswith("# best val: dataset=d model=vgg-mini ")
         assert summary.startswith("d: best model vgg-mini ")
+
+    def test_dataset_without_val_images_refused_before_any_training(
+            self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda model, *args: trained.append(model) or [])
+        good = D.generate_synthetic(tmp_path / "good", "good", 2, 10, seed=1)
+        # two images a class all go to train
+        small = D.generate_synthetic(tmp_path / "small", "small", 3, 2, seed=1)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="all assigned to train"):
+            assert run(["compare", good, small, "--models", "vit", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'small' leaves no validation images"), err
+        assert trained == [] and not out.exists()
 
     @pytest.mark.parametrize("models, needle", [
         ("", "unknown model kind ''"),

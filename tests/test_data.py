@@ -86,6 +86,14 @@ class TestManifest:
         with pytest.raises(FormatError, match=r"names\.manifest:2: empty class name"):
             D.load_manifest(path)
 
+    @pytest.mark.parametrize("second", ["0", "1"])
+    def test_repeated_entry_path_names_both_lines(self, tmp_path, second):
+        (tmp_path / "x.ppm").write_bytes(D.encode_ppm(np.zeros((3, 2, 2))))
+        path = tmp_path / "twice.manifest"
+        path.write_text(f"#classes: a,b\nx.ppm\t0\n\nx.ppm\t{second}\n")
+        with pytest.raises(FormatError, match=r"twice\.manifest:4: .*'x\.ppm' repeats line 2"):
+            D.load_manifest(path)
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "fmt.manifest"
         path.write_text("#classes: a\nonly-one-field\n")
@@ -451,7 +459,7 @@ class TestSynthetic:
     def test_image_size_too_large_to_allocate(self, tmp_path, image_size):
         with pytest.raises(ConfigurationError, match=f"image_size {image_size}"):
             D.generate_synthetic(tmp_path / "out", "huge", 2, 1, image_size=image_size)
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_values_in_range(self, tmp_path):
         path = D.generate_synthetic(tmp_path, "rng", 3, 2, seed=13)

@@ -56,9 +56,9 @@ def _record_forward_and_decode(model, monkeypatch) -> list:
     calls = []
     forward, load = model.forward_batch, D.load_image
 
-    def recording_forward(images):
+    def recording_forward(images, rng=None):
         calls.append("forward")
-        return forward(images)
+        return forward(images, rng)
 
     def recording_load(path, dtype):
         calls.append("load")
@@ -134,6 +134,33 @@ class TestTrain:
         h2 = train(make_model("vit", ViTConfig(num_classes=3).to_dict(), seed=1),
                    tiny_task, tiny_task, cfg)
         assert h1 == h2
+
+    def test_run_depends_only_on_its_start_and_config(self, tiny_task):
+        """A second ``train`` call from reloaded initial parameters repeats
+        the first: dropout draws nothing from the model's earlier runs."""
+        model = make_model("vit", {"num_classes": 3, "dropout": 0.5}, seed=1)
+        start = snapshot_params(model)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=7)
+        h1 = train(model, tiny_task, tiny_task, cfg)
+        load_params_into(model, start)
+        assert train(model, tiny_task, tiny_task, cfg) == h1
+        # the same start without dropout trains differently: the steps drew masks
+        assert train(make_model("vit", {"num_classes": 3}, seed=1),
+                     tiny_task, tiny_task, cfg) != h1
+
+    def test_each_epoch_draws_dropout_from_seed_epoch_1(self, tiny_task):
+        model = make_model("vit", {"num_classes": 3, "dropout": 0.5}, seed=0)
+        forward, states = model.forward_batch, []
+
+        def recording(images, rng=None):
+            states.append(rng.bit_generator.state)
+            return forward(images, rng)
+
+        model.forward_batch = recording
+        # one step per epoch and no val pass, so each call opens an epoch
+        train(model, tiny_task, None, TrainConfig(epochs=3, batch_size=12, seed=7))
+        assert states == [np.random.default_rng([7, e, 1]).bit_generator.state
+                          for e in range(3)]
 
     def test_losses_finite(self, tiny_task):
         model = make_model("vgg-mini", {"num_classes": 3}, seed=0)
@@ -296,9 +323,9 @@ class TestEvaluate:
         events = []
         forward, load = model.forward_batch, D.load_image
 
-        def recording(images):
+        def recording(images, rng=None):
             events.append(images.dtype)
-            return forward(images)
+            return forward(images, rng)
 
         def recording_load(path, dtype):
             events.append("load")
@@ -418,12 +445,13 @@ class TestDtype:
         config = {"dropout": 0.1} if kind == "vit" else {}
         model = make_model(kind, config, seed=0)
         assert model.config.to_dict()["dtype"] == "float32"
-        model.train_mode = True
         # float64 images, as the decoders produce them
         images = np.random.default_rng(1).random((4, 3, 32, 32))
         with T.Tape() as tape:
-            logits = model.forward_batch(images)
+            logits = model.forward_batch(images, np.random.default_rng(2))
             loss = T.cross_entropy(logits, np.array([0, 1, 2, 1]))
+        if kind == "vit":  # the desk step's 33 entries and a mask per residual branch
+            assert len(tape) == 33 + 2 * model.config.num_layers
         assert logits.data.dtype == np.float32
         assert all(e.output.data.dtype == np.float32 for e in tape._entries)
         assert backward_grad_dtypes(loss, tape) == {np.dtype(np.float32)}

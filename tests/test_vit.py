@@ -371,10 +371,10 @@ class TestBatchFirst:
     @pytest.mark.parametrize("batch", [2, 5])
     def test_desk_default_step_records_33_tape_entries(self, batch):
         model = desk_model()
-        model.train_mode = True
         images = np.random.default_rng(23).random((batch, 3, 32, 32), np.float32)
         with T.Tape() as tape:
-            T.cross_entropy(model.forward_batch(images), np.arange(batch) % 3)
+            T.cross_entropy(model.forward_batch(images, np.random.default_rng(0)),
+                            np.arange(batch) % 3)
         assert len(tape) == 33
 
     def test_backward_fills_every_parameter_and_no_intermediate(self):
@@ -393,6 +393,18 @@ class TestClassify:
         images = rng.random((2, 3, 32, 32))
         assert np.array_equal(model.forward_batch(images).data,
                               model.forward_batch(images).data)
+
+    def test_no_generator_means_no_dropout(self):
+        images = np.random.default_rng(18).random((2, 3, 32, 32))
+        plain = desk_model(seed=7).forward_batch(images).data
+        assert np.array_equal(desk_model(seed=7, dropout=0.5).forward_batch(images).data, plain)
+
+    def test_dropout_is_a_function_of_the_generator(self):
+        model = desk_model(seed=7, dropout=0.5)
+        images = np.random.default_rng(19).random((2, 3, 32, 32))
+        a, b = (model.forward_batch(images, np.random.default_rng(5)).data for _ in range(2))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, model.forward_batch(images).data)
 
 
 class TestConfig:
