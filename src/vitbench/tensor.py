@@ -17,6 +17,7 @@ and backward.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import struct
 from typing import Callable, Iterable, Optional, Sequence
@@ -94,13 +95,11 @@ class Tensor:
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise DimensionError(
-                f"gradient shape {g.shape} does not match value shape {self.data.shape}"
-            )
+                f"gradient shape {g.shape} does not match value shape {self.data.shape}")
         # += would cast a float64 gradient into a float32 buffer unseen
         if g.dtype != self.data.dtype:
             raise ContractError(
-                f"gradient dtype {g.dtype} does not match value dtype {self.data.dtype}"
-            )
+                f"gradient dtype {g.dtype} does not match value dtype {self.data.dtype}")
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         self._grad += g
@@ -133,8 +132,7 @@ class Model:
         if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
             raise ConfigurationError(
                 f"image batch shape {images.shape} does not match config "
-                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})"
-            )
+                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})")
         return images
 
     def head_names(self) -> list[str]:
@@ -330,14 +328,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
 
     def bw(g):
-        grads = []
-        offset = 0
-        for p, n in zip(parts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offset, offset + n)
-            grads.append((p, g[tuple(idx)]))
-            offset += n
-        return grads
+        return list(zip(parts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
 
     return _finish(out, tuple(parts), bw)
 
@@ -356,9 +347,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g, a.shape).copy())]
-        g2 = g if keepdims else np.expand_dims(g, axis)
+        g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
         return [(a, np.broadcast_to(g2, a.shape).copy())]
 
     return _finish(out, (a,), bw)
@@ -370,9 +359,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.shape} x {b.shape}"
-        )
+        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def bw(g):
@@ -538,8 +525,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise DimensionError(
-            f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}"
-        )
+            f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     y = xc * xc
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
@@ -590,9 +576,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], fused for stability."""
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise DimensionError(
-            f"cross_entropy: logits {logits.shape} vs labels {labels.shape}"
-        )
+        raise DimensionError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     n, c = logits.shape
     check_class_range(labels, c)
     z = logits.data
@@ -613,12 +597,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # convolution and pooling
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Padded (B, C, Hp, Wp) -> contiguous patch columns (B, C, kh, kw, Ho, Wo)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return np.ascontiguousarray(win[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3))
-
-
 def _int_pair(name: str, value, minimum: int) -> tuple:
     """``value``, an int or a pair of ints, as a pair; raise
     :class:`ConfigurationError` unless each is an int >= ``minimum``."""
@@ -630,119 +608,131 @@ def _int_pair(name: str, value, minimum: int) -> tuple:
     return tuple(pair)
 
 
-def _conv2d_input_grad(g: np.ndarray, kernel: np.ndarray, x_shape, stride, padding,
-                       groups: int) -> np.ndarray:
-    """conv2d's ``dx`` from its output gradient ``g``, as per-tap GEMMs on
-    wide rows, one stride phase of the padded input at a time.
-
-    Tap (i, j) reaches only the phase ``dxp[:, :, a::sh, c::sw]`` with
-    (a, c) = (i % sh, j % sw).  Laid out flat in rows of the phase width Wq,
-    its contribution is one contiguous run of n = (Ho-1)*Wq + Wo elements per
-    channel at offset (i//sh)*Wq + j//sw, so ``g`` padded with zero columns
-    to width Wq ("wide rows") turns the tap into one GEMM and one add.  The
-    zero columns carry the run across each row's end.  At stride 1 the one
-    phase is ``dxp`` itself.
-    """
-    b, cin, h, w = x_shape
-    cout, cg, kh, kw = kernel.shape
-    _, _, ho, wo = g.shape
-    (sh, sw), (ph, pw) = stride, padding
-    og = cout // groups
-    dxp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw), g.dtype)
-    # per tap, the (G, Og, Cg) kernel slice, contiguous so its transpose
-    # goes to BLAS
-    taps = np.ascontiguousarray(kernel.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2))
-    wide = {}  # phase width -> g on rows of that width, (B, G, Og, Ho*Wq)
-    for a in range(min(sh, kh)):
-        for c in range(min(sw, kw)):
-            phase = dxp[:, :, a::sh, c::sw]
-            hq, wq = phase.shape[2:]
-            if wq not in wide:
-                gw = g
-                if wq != wo:
-                    gw = np.zeros((b, cout, ho, wq), g.dtype)
-                    gw[..., :wo] = g
-                wide[wq] = gw.reshape(b, groups, og, ho * wq)
-            gw = wide[wq]
-            n = (ho - 1) * wq + wo
-            if sh == sw == 1:
-                acc = dxp.reshape(b, groups, cg, hq * wq)
-            else:
-                acc = np.zeros((b, groups, cg, hq * wq), g.dtype)
-            prod = np.empty((b, groups, cg, n), g.dtype)
-            for i in range(a, kh, sh):
-                for j in range(c, kw, sw):
-                    o = (i // sh) * wq + j // sw
-                    np.matmul(taps[i, j].swapaxes(-1, -2), gw[..., :n], out=prod)
-                    acc[..., o : o + n] += prod
-            if sh > 1 or sw > 1:
-                phase[...] = acc.reshape(b, cin, hq, wq)
-    if ph or pw:
-        return dxp[:, :, ph : ph + h, pw : pw + w]
-    return dxp
+# conv2d works in blocks of whole images of about this many output pixels.
+# Unblocked, a (65536 x 144) @ (144 x 16) float32 GEMM at 2 OpenBLAS threads
+# grows the resident set by about 27 MB beyond its output (the library's
+# packing buffers); at 1 thread by 0.3 MB, in 4,096-row blocks by about 2 MB
+# at the same speed.
+CONV_ROWS = 4096
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0),
            groups: int = 1) -> Tensor:
     """Strided zero-padded cross-correlation (no kernel flip), with groups,
-    plus a (Cout,) ``bias``.
+    plus a (Cout,) ``bias``; ``stride`` (each >= 1) and ``padding`` (each
+    >= 0) are ints or pairs of ints, anything else a :class:`ConfigurationError`.
 
-    ``stride`` (each >= 1) and ``padding`` (each >= 0) are ints or pairs of
-    ints; anything else is a :class:`ConfigurationError`.  The bias is added
-    in place into the GEMM's fresh output: the same bits as a broadcast
-    ``add`` after the convolution.  The forward and the kernel gradient are
-    one batched GEMM each over the im2col columns, viewed as
-    (B, G, Cg*kh*kw, Ho*Wo) with the kernel as (G, Og, Cg*kh*kw), so plain,
-    grouped and depthwise convolution share the code.  The input gradient
-    is per-tap GEMMs on wide rows, one stride phase at a time (see
-    :func:`_conv2d_input_grad`), with no column buffer.
+    The output is (B, Cout, Ho, Wo) stored channels-last (NHWC), so the next
+    conv's NHWC view of it is free; ``x`` may come in any layout.  Per block
+    of :data:`CONV_ROWS`, the padded NHWC input is gathered into columns
+    (pixels, G, kh·kw·Cg), the forward is one GEMM with the kernel as
+    (G, kh·kw·Cg, Og), ``dk`` is ``colsᵀ @ g``, and ``dx`` one GEMM
+    ``g @ k_tapᵀ`` per tap, added into the tap's window of its stride phase
+    ``dxp[:, i % sh::sh, j % sw::sw]``.  Depthwise convolution (Cg = Og = 1)
+    is kh·kw broadcast multiply-adds over (B, Ho, Wo, C) on those phases.
     """
     stride = _int_pair("conv2d stride", stride, 1)
     padding = _int_pair("conv2d padding", padding, 0)
     check_int("conv2d groups", groups)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(
-            f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}"
-        )
+            f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
     b, cin, h, w = x.shape
-    cout, ck, kh, kw = kernel.shape
-    sh, sw = stride
-    ph, pw = padding
+    cout, cg, kh, kw = kernel.shape
+    (sh, sw), (ph, pw) = stride, padding
     if cin % groups or cout % groups:
-        raise ConfigurationError(
-            f"groups={groups} must divide Cin={cin} and Cout={cout}"
-        )
-    if ck != cin // groups:
-        raise DimensionError(
-            f"kernel channels {ck} do not match Cin/groups = {cin}//{groups}"
-        )
+        raise ConfigurationError(f"groups={groups} must divide Cin={cin} and Cout={cout}")
+    if cg != cin // groups:
+        raise DimensionError(f"kernel channels {cg} do not match Cin/groups = {cin}//{groups}")
     if bias.shape != (cout,):
         raise DimensionError(f"conv2d bias shape {bias.shape} is not (Cout,) = ({cout},)")
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
+    hp, wp = h + 2 * ph, w + 2 * pw
+    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
     if ho <= 0 or wo <= 0:
         raise ConfigurationError(
             f"non-positive conv output extent {ho}x{wo} for input {h}x{w}, "
-            f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
-        )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-    cols = _im2col(xp, kh, kw, sh, sw)
-    c4 = cols.reshape(b, groups, ck * kh * kw, ho * wo)
-    k3 = kernel.data.reshape(groups, cout // groups, ck * kh * kw)
-    # (B, G, Og, Ho*Wo) is already NCHW once G and Og merge
-    y = np.matmul(k3, c4).reshape(b, cout, ho, wo)
-    y += bias.data.reshape(1, cout, 1, 1)
-    out = Tensor(y)
+            f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
+    og, kk = cout // groups, kh * kw * cg
+    xp = x.data.transpose(0, 2, 3, 1)
+    if ph or pw:
+        xp = np.empty((b, hp, wp, cin), x.data.dtype)
+        xp[:, :ph] = xp[:, ph + h:] = xp[:, ph:ph + h, :pw] = xp[:, ph:ph + h, pw + w:] = 0
+        xp[:, ph:ph + h, pw:pw + w] = x.data.transpose(0, 2, 3, 1)
+    nb = max(1, CONV_ROWS // (ho * wo))
+    blocks = [slice(i, min(i + nb, b)) for i in range(0, b, nb)]
+    phases = [(a, c) for a in range(min(sh, kh)) for c in range(min(sw, kw))]
+
+    def window(a: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Tap (i, j)'s (B, Ho, Wo, C) window of its stride phase ``a``."""
+        return a[:, i // sh:i // sh + ho, j // sw:j // sw + wo]
+
+    def rows(a: np.ndarray, n: int) -> np.ndarray:
+        """The NHWC ``a`` as (G, pixels, n), for a batched GEMM per group."""
+        return a.reshape(-1, groups, n).swapaxes(0, 1)
+
+    y = np.empty((b, ho, wo, cout), np.result_type(x.data, kernel.data))
+    depthwise = cg == og == 1
+    if depthwise:
+        xq = {p: np.ascontiguousarray(xp[:, p[0]::sh, p[1]::sw]) for p in phases}
+        # each tap's kernel row repeated to (kh, kw, Wo, C), so a multiply
+        # runs on whole (Wo, C) rows instead of C values at a time
+        k_taps = np.repeat(kernel.data.reshape(cout, kh, kw).transpose(1, 2, 0)[:, :, None], wo, 2)
+        tmp = np.empty((nb, ho, wo, cout), y.dtype)
+        for blk in blocks:
+            yb, t = y[blk], tmp[:blk.stop - blk.start]
+            np.multiply(window(xq[0, 0], 0, 0)[blk], k_taps[0, 0], out=yb)
+            for i, j in np.ndindex(kh, kw):
+                if i or j:
+                    yb += np.multiply(window(xq[i % sh, j % sw], i, j)[blk], k_taps[i, j], out=t)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+        win = win.reshape(b, ho, wo, groups, cg, kh, kw).transpose(0, 1, 2, 3, 5, 6, 4)
+        # (G, kh·kw·Cg, Og), rows in the columns' (i, j, c) order
+        k3 = kernel.data.reshape(groups, og, cg, kh, kw).transpose(0, 3, 4, 2, 1)
+        k3 = np.ascontiguousarray(k3).reshape(groups, kk, og)
+        # each block's columns are gathered just before its GEMM (the reshape
+        # copies, except for a 1x1 stride-1 conv, whose columns are its NHWC
+        # input); dk reads them all, so they are kept only when it is recorded
+        keep = kernel.requires_grad and _ACTIVE_TAPE is not None
+        cols = []
+        for blk in blocks:
+            c = rows(win[blk], kk)
+            np.matmul(c, k3, out=rows(y[blk], og))
+            if keep:
+                cols.append((c, blk))
+    # in place, the same bits as a broadcast add after; tiled to whole (Wo, Cout) rows
+    y_rows = y.reshape(b * ho, wo * cout)
+    y_rows += np.tile(bias.data, wo)
+    out = Tensor(y.transpose(0, 3, 1, 2))
 
     def bw(g):
-        # backward drops gradients of inputs that need none (the images
-        # entering the first conv), so they are not computed
+        # an input that needs no gradient (the images entering the first conv) gets none
         dx = dk = db = None
+        gn = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         if x.requires_grad:
-            dx = _conv2d_input_grad(g, kernel.data, x.shape, stride, padding, groups)
-        if kernel.requires_grad:
-            g4 = g.reshape(b, groups, cout // groups, ho * wo)
-            dk = np.matmul(g4, c4.swapaxes(-1, -2)).sum(axis=0).reshape(kernel.shape)
+            # per tap, the (G, Og, Cg) kernel slice
+            k_t = kernel.data.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
+            dxp = np.zeros((b, hp, wp, cin), gn.dtype)
+            part = np.empty((nb, ho, wo, cin), gn.dtype)
+            for a, c in phases:
+                acc = dxp if sh == sw == 1 else np.zeros_like(dxp[:, a::sh, c::sw])
+                for blk in blocks:  # taps innermost: the block's acc stays in cache
+                    p = part[:blk.stop - blk.start]
+                    for i, j in itertools.product(range(a, kh, sh), range(c, kw, sw)):
+                        if depthwise:
+                            np.multiply(gn[blk], k_taps[i, j], out=p)
+                        else:
+                            np.matmul(rows(gn[blk], og), k_t[i, j], out=rows(p, cg))
+                        window(acc, i, j)[blk] += p
+                if acc is not dxp:
+                    dxp[:, a::sh, c::sw] = acc
+            dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
+        if kernel.requires_grad and depthwise:
+            dk = np.stack([np.einsum("bhwc,bhwc->c", gn, window(xq[i % sh, j % sw], i, j))
+                           for i, j in np.ndindex(kh, kw)], axis=1).reshape(kernel.shape)
+        elif kernel.requires_grad:
+            dk = sum(np.matmul(c.swapaxes(1, 2), rows(gn[blk], og)) for c, blk in cols)
+            dk = dk.reshape(groups, kh, kw, cg, og).transpose(0, 4, 3, 1, 2).reshape(kernel.shape)
         if bias.requires_grad:
             db = _unbroadcast(g, (1, cout, 1, 1)).reshape(cout)
         return [(x, dx), (kernel, dk), (bias, db)]
@@ -755,7 +745,8 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
 
     Works on the k*k strided taps ``x[:, :, i::k, j::k]``: the forward is a
     running ``np.maximum`` over them, and the backward writes each tap's
-    share of the gradient into its own strided slice of ``dx``.
+    share of the gradient into its own strided slice of ``dx``.  The output
+    and ``dx`` keep the memory order of ``x`` (channels-last after a conv).
     """
     if x.ndim != 4:
         raise DimensionError(f"max_pool2d expects a 4-d input, got {x.shape}")
@@ -766,7 +757,7 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
         raise ConfigurationError(f"max_pool2d: extents {h}x{w} not divisible by {k}")
     slices = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
               for i in range(k) for j in range(k)]
-    y = x.data[slices[0]].copy()
+    y = x.data[slices[0]].copy(order="K")
     for s in slices[1:]:
         np.maximum(y, x.data[s], out=y)
     out = Tensor(y)
@@ -780,7 +771,7 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
         share = g / count
         # the taps tile x, so every element of dx is written exactly once;
         # share's dtype, so an upcast reaches accumulate_grad's check
-        dx = np.empty(x.shape, share.dtype)
+        dx = np.empty_like(x.data, dtype=share.dtype)
         for s, m in zip(slices, masks):
             np.multiply(m, share, out=dx[s])
         return [(x, dx)]
@@ -789,9 +780,19 @@ def max_pool2d(x: Tensor, k: int = 2) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """B x C x H x W -> B x C spatial mean."""
-    b, c, h, w = x.shape
-    return mul(tsum(tsum(x, axis=3), axis=2), Tensor(np.array(1.0 / (h * w), x.data.dtype)))
+    """(B, C, H, W) -> (B, C) spatial mean, as one op; the backward spreads
+    the gradient over H x W in the memory order of ``x``."""
+    if x.ndim != 4:
+        raise DimensionError(f"global_avg_pool expects a 4-d input, got {x.shape}")
+    scale = x.data.dtype.type(1.0 / (x.shape[2] * x.shape[3]))
+    out = Tensor(x.data.sum(axis=(2, 3)) * scale)
+
+    def bw(g):
+        dx = np.empty_like(x.data, dtype=g.dtype)  # g's dtype: see max_pool2d
+        dx[...] = (g * scale)[:, :, None, None]
+        return [(x, dx)]
+
+    return _finish(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +895,7 @@ def tnsr_decode(data: bytes) -> np.ndarray:
     count = math.prod(shape)
     if len(data) != off + count * dtype.itemsize:
         raise FormatError(
-            f"TNSR payload length {len(data) - off} does not match shape {shape}"
-        )
+            f"TNSR payload length {len(data) - off} does not match shape {shape}")
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=off)
     try:
         # an empty payload still fails here on extents numpy cannot hold

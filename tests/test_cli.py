@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,23 @@ class TestSplit:
         va = D.load_manifest(tmp_path / "splits" / "full-val.manifest")
         te = D.load_manifest(tmp_path / "splits" / "full-test.manifest")
         assert (len(tr), len(va), len(te)) == (32, 4, 4)
+
+    def test_small_class_warns_in_one_line(self, tmp_path):
+        """In a fresh interpreter, as a user runs it (pytest records warnings
+        instead of printing them): one line per class, no source path."""
+        D.generate_synthetic(tmp_path / "ds", "tiny", 3, 2, seed=1)
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "vitbench.cli", "split", str(tmp_path / "ds" / "tiny.manifest"),
+             "--out", str(tmp_path / "splits")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines == [f"warning: class {c} has only 2 entries; all assigned to train"
+                         for c in range(3)]
+        assert not any("data.py" in line for line in lines)
 
     def test_non_utf8_manifest_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.manifest"

@@ -344,6 +344,27 @@ class TestConv2d:
         ref = _conv2d_loop_dx(g, k.data, x_shape, stride, padding, groups)
         assert np.max(np.abs(x.grad - ref)) < 1e-12
 
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", _CONV_DX_CASES)
+    def test_one_image_per_block_matches_loop_references(self, x_shape, k_shape, stride,
+                                                        padding, groups, monkeypatch):
+        """With CONV_ROWS = 1 every image is a block of its own, with and
+        without a tape (columns kept for dk, or gathered per block)."""
+        rng = np.random.default_rng(17)
+        x, k, bias = (rng.normal(size=s) for s in [x_shape, k_shape, k_shape[0]])
+        kwargs = {"stride": stride, "padding": padding, "groups": groups}
+        ref = _conv2d_loop(x, k, bias, stride, padding, groups)
+        w = rng.normal(size=ref.shape)
+        _, whole = _value_and_grads(lambda *a: T.conv2d(*a, **kwargs), [x, k, bias], w)
+        monkeypatch.setattr(T, "CONV_ROWS", 1)
+        y, grads = _value_and_grads(lambda *a: T.conv2d(*a, **kwargs), [x, k, bias], w)
+        untaped = T.conv2d(Tensor(x), Tensor(k), Tensor(bias), **kwargs).data
+        for out in (y, untaped):
+            assert np.max(np.abs(out - ref)) < 1e-12
+        dx_ref = _conv2d_loop_dx(w, k, x_shape, stride, padding, groups)
+        assert np.max(np.abs(grads[0] - dx_ref)) < 1e-12
+        for g, g_whole in zip(grads[1:], whole[1:]):
+            assert np.max(np.abs(g - g_whole)) < 1e-12
+
     @pytest.mark.parametrize("kwargs", [
         {"stride": 0},
         {"stride": (1, 0)},
@@ -452,6 +473,57 @@ class TestConv2d:
         k = Tensor(np.zeros((2, 1, 3, 3)))
         with pytest.raises(ConfigurationError):
             T.conv2d(x, k, _no_bias(k), groups=2)
+
+
+def _channels_last(a):
+    """The values of the (B, C, H, W) ``a``, stored channels-last."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _is_channels_last(a):
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+class TestChannelsLast:
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", _CONV_DX_CASES)
+    def test_conv2d_same_bits_for_either_input_layout(self, x_shape, k_shape, stride,
+                                                      padding, groups):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=x_shape)
+        arrays = [rng.normal(size=k_shape), rng.normal(size=k_shape[0])]
+        kwargs = {"stride": stride, "padding": padding, "groups": groups}
+        w = rng.normal(size=T.conv2d(Tensor(x), *map(Tensor, arrays), **kwargs).shape)
+
+        def conv(x, k, b):
+            return T.conv2d(x, k, b, **kwargs)
+
+        y1, grads1 = _value_and_grads(conv, [x, *arrays], w)
+        y2, grads2 = _value_and_grads(conv, [_channels_last(x), *arrays], w)
+        assert _is_channels_last(y1) and np.array_equal(y1, y2)
+        for g1, g2 in zip(grads1, grads2):
+            assert np.array_equal(g1, g2)
+
+    def test_activations_stay_channels_last_through_a_block(self):
+        """conv -> relu -> max_pool2d -> conv -> add -> global_avg_pool:
+        no op re-lays the activations, and the pooled gradient keeps the
+        layout too."""
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        k1, k2 = (Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(4, 3, 3, 3), (4, 4, 3, 3)])
+        b = Tensor(np.zeros(4))
+        with Tape() as tape:
+            h1 = T.conv2d(x, k1, b, padding=1)
+            h2 = T.relu(h1)
+            h3 = T.max_pool2d(h2, 2)
+            h4 = T.conv2d(h3, k2, b, padding=1)
+            h5 = T.add(h4, h3)
+            loss = T.tsum(T.global_avg_pool(h5))
+        for h in (h1, h2, h3, h4, h5):
+            assert _is_channels_last(h.data)
+        pool_bw = tape._entries[-2].backward_fn
+        (_, dx), = pool_bw(np.ones((2, 4)))
+        assert _is_channels_last(dx)
 
 
 def _max_pool_loop(x, k):
@@ -818,8 +890,9 @@ class TestTnsr:
             T.tnsr_decode(data)
 
 
-# every public op, built from float32 leaves made by ``x(*shape)``
-_FLOAT32_CASES = {
+# every public op, built from leaves made by ``x(*shape)``: float32 ones in
+# TestFloat32, float64 ones in TestOpGradients
+_OP_CASES = {
     "add": lambda x: T.add(x(2, 3), x(3)),
     "sub": lambda x: T.sub(x(2, 3), x(2, 1)),
     "mul": lambda x: T.mul(x(2, 3), x(1, 3)),
@@ -853,8 +926,29 @@ _FLOAT32_CASES = {
 }
 
 
+class TestOpGradients:
+    @pytest.mark.parametrize("op", sorted(_OP_CASES))
+    def test_matches_finite_differences(self, op):
+        """Every public op's tape gradient, for a weighted sum of its
+        output, matches central differences in float64."""
+        rng = np.random.default_rng(0)
+        leaves = []
+
+        def x(*shape):
+            leaves.append(Tensor(rng.normal(size=shape), requires_grad=True))
+            return leaves[-1]
+
+        w = Tensor(rng.random(_OP_CASES[op](x).shape))
+
+        def f():
+            same = iter(leaves)
+            return T.tsum(T.mul(_OP_CASES[op](lambda *shape: next(same)), w))
+
+        assert gradcheck(f, leaves) < 1e-3
+
+
 class TestFloat32:
-    @pytest.mark.parametrize("op", sorted(_FLOAT32_CASES))
+    @pytest.mark.parametrize("op", sorted(_OP_CASES))
     def test_op_keeps_float32_forward_and_backward(self, op):
         rng = np.random.default_rng(0)
         leaves = []
@@ -865,7 +959,7 @@ class TestFloat32:
             return leaves[-1]
 
         with Tape() as tape:
-            out = _FLOAT32_CASES[op](x)
+            out = _OP_CASES[op](x)
             loss = T.tsum(out)
         assert out.data.dtype == np.float32
         assert loss.data.dtype == np.float32
