@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import functools
 import os
 import sys
@@ -323,19 +322,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return parser
 
 
-@contextlib.contextmanager
-def _one_line_warnings():
-    """Show each Python warning as one ``warning: <message>`` line instead
-    of its source path, line number and source line; the library still
-    raises them with ``warnings.warn``, so filters and recorders see them."""
-    default = warnings.formatwarning
-    warnings.formatwarning = lambda message, *args, **kwargs: f"warning: {message}\n"
-    try:
-        yield
-    finally:
-        warnings.formatwarning = default
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -343,16 +329,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # each Python warning printed as one "warning: <message>" line; a
+    # recording catch_warnings (pytest.warns) still sees it
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *args, **kwargs: f"warning: {message}\n"
     try:
         args = _with_config_file(args, argv)
         # training and checkpoint loading report non-finite values as typed
         # errors, so numpy's floating-point warnings would only repeat them
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-                _one_line_warnings():
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -95,11 +95,13 @@ class Tensor:
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise DimensionError(
-                f"gradient shape {g.shape} does not match value shape {self.data.shape}")
+                f"gradient shape {g.shape} does not match value shape {self.data.shape}"
+            )
         # += would cast a float64 gradient into a float32 buffer unseen
         if g.dtype != self.data.dtype:
             raise ContractError(
-                f"gradient dtype {g.dtype} does not match value dtype {self.data.dtype}")
+                f"gradient dtype {g.dtype} does not match value dtype {self.data.dtype}"
+            )
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         self._grad += g
@@ -132,7 +134,8 @@ class Model:
         if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
             raise ConfigurationError(
                 f"image batch shape {images.shape} does not match config "
-                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})")
+                f"(B, {cfg.channels}, {cfg.image_size}, {cfg.image_size})"
+            )
         return images
 
     def head_names(self) -> list[str]:
@@ -328,7 +331,14 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
 
     def bw(g):
-        return list(zip(parts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)))
+        grads = []
+        offset = 0
+        for p, n in zip(parts, sizes):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(offset, offset + n)
+            grads.append((p, g[tuple(idx)]))
+            offset += n
+        return grads
 
     return _finish(out, tuple(parts), bw)
 
@@ -347,7 +357,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
+        if axis is None:
+            return [(a, np.broadcast_to(g, a.shape).copy())]
+        g2 = g if keepdims else np.expand_dims(g, axis)
         return [(a, np.broadcast_to(g2, a.shape).copy())]
 
     return _finish(out, (a,), bw)
@@ -359,7 +371,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+        raise DimensionError(
+            f"matmul shape mismatch: {a.shape} x {b.shape}"
+        )
     out = Tensor(a.data @ b.data)
 
     def bw(g):
@@ -525,7 +539,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """
     if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
         raise DimensionError(
-            f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}")
+            f"layer_norm: last extent {x.shape[-1]} vs gamma {gamma.shape} beta {beta.shape}"
+        )
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     y = xc * xc
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
@@ -576,7 +591,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], fused for stability."""
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise DimensionError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
+        raise DimensionError(
+            f"cross_entropy: logits {logits.shape} vs labels {labels.shape}"
+        )
     n, c = logits.shape
     check_class_range(labels, c)
     z = logits.data
@@ -629,29 +646,39 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
     (G, kh·kw·Cg, Og), ``dk`` is ``colsᵀ @ g``, and ``dx`` one GEMM
     ``g @ k_tapᵀ`` per tap, added into the tap's window of its stride phase
     ``dxp[:, i % sh::sh, j % sw::sw]``.  Depthwise convolution (Cg = Og = 1)
-    is kh·kw broadcast multiply-adds over (B, Ho, Wo, C) on those phases.
+    is kh·kw broadcast multiply-adds over (B, Ho, Wo, C) on those phases,
+    and its ``dk`` one ``einsum`` per tap: one-channel columns cost more
+    to gather than the whole ``einsum``.
     """
     stride = _int_pair("conv2d stride", stride, 1)
     padding = _int_pair("conv2d padding", padding, 0)
     check_int("conv2d groups", groups)
     if x.ndim != 4 or kernel.ndim != 4:
         raise DimensionError(
-            f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}")
+            f"conv2d expects 4-d input and kernel, got {x.shape} and {kernel.shape}"
+        )
     b, cin, h, w = x.shape
     cout, cg, kh, kw = kernel.shape
-    (sh, sw), (ph, pw) = stride, padding
+    sh, sw = stride
+    ph, pw = padding
     if cin % groups or cout % groups:
-        raise ConfigurationError(f"groups={groups} must divide Cin={cin} and Cout={cout}")
+        raise ConfigurationError(
+            f"groups={groups} must divide Cin={cin} and Cout={cout}"
+        )
     if cg != cin // groups:
-        raise DimensionError(f"kernel channels {cg} do not match Cin/groups = {cin}//{groups}")
+        raise DimensionError(
+            f"kernel channels {cg} do not match Cin/groups = {cin}//{groups}"
+        )
     if bias.shape != (cout,):
         raise DimensionError(f"conv2d bias shape {bias.shape} is not (Cout,) = ({cout},)")
     hp, wp = h + 2 * ph, w + 2 * pw
-    ho, wo = (hp - kh) // sh + 1, (wp - kw) // sw + 1
+    ho = (hp - kh) // sh + 1
+    wo = (wp - kw) // sw + 1
     if ho <= 0 or wo <= 0:
         raise ConfigurationError(
             f"non-positive conv output extent {ho}x{wo} for input {h}x{w}, "
-            f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
+            f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
+        )
     og, kk = cout // groups, kh * kw * cg
     xp = x.data.transpose(0, 2, 3, 1)
     if ph or pw:
@@ -715,17 +742,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
             dxp = np.zeros((b, hp, wp, cin), gn.dtype)
             part = np.empty((nb, ho, wo, cin), gn.dtype)
             for a, c in phases:
-                acc = dxp if sh == sw == 1 else np.zeros_like(dxp[:, a::sh, c::sw])
-                for blk in blocks:  # taps innermost: the block's acc stays in cache
+                phase = dxp[:, a::sh, c::sw]
+                for blk in blocks:  # taps innermost: the block's windows stay in cache
                     p = part[:blk.stop - blk.start]
                     for i, j in itertools.product(range(a, kh, sh), range(c, kw, sw)):
                         if depthwise:
                             np.multiply(gn[blk], k_taps[i, j], out=p)
                         else:
                             np.matmul(rows(gn[blk], og), k_t[i, j], out=rows(p, cg))
-                        window(acc, i, j)[blk] += p
-                if acc is not dxp:
-                    dxp[:, a::sh, c::sw] = acc
+                        window(phase, i, j)[blk] += p
             dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
         if kernel.requires_grad and depthwise:
             dk = np.stack([np.einsum("bhwc,bhwc->c", gn, window(xq[i % sh, j % sw], i, j))
@@ -895,7 +920,8 @@ def tnsr_decode(data: bytes) -> np.ndarray:
     count = math.prod(shape)
     if len(data) != off + count * dtype.itemsize:
         raise FormatError(
-            f"TNSR payload length {len(data) - off} does not match shape {shape}")
+            f"TNSR payload length {len(data) - off} does not match shape {shape}"
+        )
     arr = np.frombuffer(data, dtype=dtype, count=count, offset=off)
     try:
         # an empty payload still fails here on extents numpy cannot hold
