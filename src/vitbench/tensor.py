@@ -642,13 +642,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
     The output is (B, Cout, Ho, Wo) stored channels-last (NHWC), so the next
     conv's NHWC view of it is free; ``x`` may come in any layout.  Per block
     of :data:`CONV_ROWS`, the padded NHWC input is gathered into columns
-    (pixels, G, kh·kw·Cg), the forward is one GEMM with the kernel as
-    (G, kh·kw·Cg, Og), ``dk`` is ``colsᵀ @ g``, and ``dx`` one GEMM
-    ``g @ k_tapᵀ`` per tap, added into the tap's window of its stride phase
-    ``dxp[:, i % sh::sh, j % sw::sw]``.  Depthwise convolution (Cg = Og = 1)
-    is kh·kw broadcast multiply-adds over (B, Ho, Wo, C) on those phases,
-    and its ``dk`` one ``einsum`` per tap: one-channel columns cost more
-    to gather than the whole ``einsum``.
+    (pixels, G, kh·kw·Cg) for one GEMM with the kernel as (G, kh·kw·Cg, Og)
+    and dropped, taped or not; ``dk`` gathers them again for ``colsᵀ @ g``,
+    and ``dx`` is one GEMM ``g @ k_tapᵀ`` per tap, added into the tap's
+    window of its stride phase ``dxp[:, i % sh::sh, j % sw::sw]``.  Depthwise
+    convolution (Cg = Og = 1) is kh·kw broadcast multiply-adds over
+    (B, Ho, Wo, C) on those phases, and its ``dk`` one ``einsum`` per tap:
+    one-channel columns cost more to gather than the whole ``einsum``.
     """
     stride = _int_pair("conv2d stride", stride, 1)
     padding = _int_pair("conv2d padding", padding, 0)
@@ -717,16 +717,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
         # (G, kh·kw·Cg, Og), rows in the columns' (i, j, c) order
         k3 = kernel.data.reshape(groups, og, cg, kh, kw).transpose(0, 3, 4, 2, 1)
         k3 = np.ascontiguousarray(k3).reshape(groups, kk, og)
-        # each block's columns are gathered just before its GEMM (the reshape
-        # copies, except for a 1x1 stride-1 conv, whose columns are its NHWC
-        # input); dk reads them all, so they are kept only when it is recorded
-        keep = kernel.requires_grad and _ACTIVE_TAPE is not None
-        cols = []
+        # a block's columns (a copy, except for a 1x1 stride-1 conv) live for its
+        # GEMM only; dk gathers them again, so only it keeps the padded input
         for blk in blocks:
-            c = rows(win[blk], kk)
-            np.matmul(c, k3, out=rows(y[blk], og))
-            if keep:
-                cols.append((c, blk))
+            np.matmul(rows(win[blk], kk), k3, out=rows(y[blk], og))
+        win = win if kernel.requires_grad else None
     # in place, the same bits as a broadcast add after; tiled to whole (Wo, Cout) rows
     y_rows = y.reshape(b * ho, wo * cout)
     y_rows += np.tile(bias.data, wo)
@@ -741,23 +736,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
             k_t = kernel.data.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
             dxp = np.zeros((b, hp, wp, cin), gn.dtype)
             part = np.empty((nb, ho, wo, cin), gn.dtype)
-            for a, c in phases:
-                phase = dxp[:, a::sh, c::sw]
-                for blk in blocks:  # taps innermost: the block's windows stay in cache
-                    p = part[:blk.stop - blk.start]
+            dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)  # a view, filled below
+        dks = []
+        # blocks outermost, so a block's g stays in cache from its dk GEMM through
+        # its dx taps; blocks hold disjoint images, so dxp sums in the same order
+        for blk in blocks:
+            if kernel.requires_grad and not depthwise:
+                dks.append(np.matmul(rows(win[blk], kk).swapaxes(1, 2), rows(gn[blk], og)))
+            if x.requires_grad:
+                p = part[:blk.stop - blk.start]
+                for a, c in phases:
                     for i, j in itertools.product(range(a, kh, sh), range(c, kw, sw)):
                         if depthwise:
                             np.multiply(gn[blk], k_taps[i, j], out=p)
                         else:
                             np.matmul(rows(gn[blk], og), k_t[i, j], out=rows(p, cg))
-                        window(phase, i, j)[blk] += p
-            dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)
+                        window(dxp[:, a::sh, c::sw], i, j)[blk] += p
         if kernel.requires_grad and depthwise:
             dk = np.stack([np.einsum("bhwc,bhwc->c", gn, window(xq[i % sh, j % sw], i, j))
                            for i, j in np.ndindex(kh, kw)], axis=1).reshape(kernel.shape)
         elif kernel.requires_grad:
-            dk = sum(np.matmul(c.swapaxes(1, 2), rows(gn[blk], og)) for c, blk in cols)
-            dk = dk.reshape(groups, kh, kw, cg, og).transpose(0, 4, 3, 1, 2).reshape(kernel.shape)
+            dk = sum(dks).reshape(groups, kh, kw, cg, og).transpose(0, 4, 3, 1, 2)
+            dk = dk.reshape(kernel.shape)
         if bias.requires_grad:
             db = _unbroadcast(g, (1, cout, 1, 1)).reshape(cout)
         return [(x, dx), (kernel, dk), (bias, db)]

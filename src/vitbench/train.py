@@ -226,9 +226,8 @@ def train(model, train_manifest: D.DatasetManifest,
         _check_class_count(model, manifest)
     cache = D.ImageCache()
     # decode every training and validation image once, before the first
-    # step: the cache holds them all after one epoch anyway, and images
-    # decoded between steps leave long-lived arrays among the steps' freed
-    # buffers, which fragments the heap and raises peak memory
+    # step, so a bad file fails before any training; the cache holds them
+    # all after one epoch anyway
     for manifest in manifests:
         for rel, _ in manifest.entries:
             cache.get(manifest.resolve(rel), model.config.dtype)

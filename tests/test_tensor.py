@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,8 +348,8 @@ class TestConv2d:
     @pytest.mark.parametrize("x_shape, k_shape, stride, padding, groups", _CONV_DX_CASES)
     def test_one_image_per_block_matches_loop_references(self, x_shape, k_shape, stride,
                                                         padding, groups, monkeypatch):
-        """With CONV_ROWS = 1 every image is a block of its own, with and
-        without a tape (columns kept for dk, or gathered per block)."""
+        """With CONV_ROWS = 1 every image is a block of its own: the taped
+        forward is the untaped one, and dk gathers each block's columns again."""
         rng = np.random.default_rng(17)
         x, k, bias = (rng.normal(size=s) for s in [x_shape, k_shape, k_shape[0]])
         kwargs = {"stride": stride, "padding": padding, "groups": groups}
@@ -358,6 +359,7 @@ class TestConv2d:
         monkeypatch.setattr(T, "CONV_ROWS", 1)
         y, grads = _value_and_grads(lambda *a: T.conv2d(*a, **kwargs), [x, k, bias], w)
         untaped = T.conv2d(Tensor(x), Tensor(k), Tensor(bias), **kwargs).data
+        assert np.array_equal(y, untaped)
         for out in (y, untaped):
             assert np.max(np.abs(out - ref)) < 1e-12
         dx_ref = _conv2d_loop_dx(w, k, x_shape, stride, padding, groups)
@@ -467,6 +469,26 @@ class TestConv2d:
         k = Tensor(np.zeros((1, 1, 5, 5)))
         with pytest.raises(ConfigurationError):
             T.conv2d(x, k, _no_bias(k))
+
+    @pytest.mark.parametrize("kernel_grad", [True, False])
+    def test_taped_forward_keeps_no_columns(self, kernel_grad):
+        """Under a tape, a float32 B=64 16->16 conv at 32 px holds less than
+        its output, its padded input (kept for dk only) and one block of
+        columns: the 37.7 MB of columns are gathered again for dk."""
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(64, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=kernel_grad)
+        bias = Tensor(np.zeros(16, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape():
+                y = T.conv2d(x, k, bias, padding=1)
+                held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded = 64 * 34 * 34 * 16 * 4 if kernel_grad else 0
+        block = T.CONV_ROWS * 16 * 9 * 4
+        assert held < y.data.nbytes + padded + block
 
     def test_bad_groups(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
