@@ -640,15 +640,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
     >= 0) are ints or pairs of ints, anything else a :class:`ConfigurationError`.
 
     The output is (B, Cout, Ho, Wo) stored channels-last (NHWC), so the next
-    conv's NHWC view of it is free; ``x`` may come in any layout.  Per block
-    of :data:`CONV_ROWS`, the padded NHWC input is gathered into columns
-    (pixels, G, kh·kw·Cg) for one GEMM with the kernel as (G, kh·kw·Cg, Og)
-    and dropped, taped or not; ``dk`` gathers them again for ``colsᵀ @ g``,
-    and ``dx`` is one GEMM ``g @ k_tapᵀ`` per tap, added into the tap's
-    window of its stride phase ``dxp[:, i % sh::sh, j % sw::sw]``.  Depthwise
-    convolution (Cg = Og = 1) is kh·kw broadcast multiply-adds over
-    (B, Ho, Wo, C) on those phases, and its ``dk`` one ``einsum`` per tap:
-    one-channel columns cost more to gather than the whole ``einsum``.
+    conv's NHWC view of it is free; ``x`` may come in any layout.  The padded
+    input is gathered, per block of :data:`CONV_ROWS`, into columns
+    (pixels, G, kh·kw·Cg) for one GEMM with the kernel as (G, kh·kw·Cg, Og),
+    then dropped; the backward pads each block again for ``colsᵀ @ g``, and
+    each stride phase of ``dx`` is one GEMM of ``g``, framed and gathered the
+    same way, with the phase's taps flipped.  Depthwise convolution (Cg = Og = 1)
+    is kh·kw broadcast multiply-adds over (B, Ho, Wo, C) on the padded input's
+    stride phases, and its ``dk`` one ``einsum`` per tap.
     """
     stride = _int_pair("conv2d stride", stride, 1)
     padding = _int_pair("conv2d padding", padding, 0)
@@ -680,11 +679,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
         )
     og, kk = cout // groups, kh * kw * cg
-    xp = x.data.transpose(0, 2, 3, 1)
-    if ph or pw:
-        xp = np.empty((b, hp, wp, cin), x.data.dtype)
-        xp[:, :ph] = xp[:, ph + h:] = xp[:, ph:ph + h, :pw] = xp[:, ph:ph + h, pw + w:] = 0
-        xp[:, ph:ph + h, pw:pw + w] = x.data.transpose(0, 2, 3, 1)
+    xn, x_frame = x.data.transpose(0, 2, 3, 1), (-ph, -pw, hp, wp)
     nb = max(1, CONV_ROWS // (ho * wo))
     blocks = [slice(i, min(i + nb, b)) for i in range(0, b, nb)]
     phases = [(a, c) for a in range(min(sh, kh)) for c in range(min(sw, kw))]
@@ -697,8 +692,25 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
         """The NHWC ``a`` as (G, pixels, n), for a batched GEMM per group."""
         return a.reshape(-1, groups, n).swapaxes(0, 1)
 
+    def framed(a: np.ndarray, r0: int, c0: int, fh: int, fw: int) -> np.ndarray:
+        """The NHWC ``a``'s (fh, fw) frame from row r0, column c0, zero outside ``a``."""
+        if (r0, c0, fh, fw) == (0, 0, *a.shape[1:3]):
+            return a
+        out = np.empty((a.shape[0], fh, fw, a.shape[3]), a.dtype)
+        a = a[:, max(r0, 0):max(r0 + fh, 0), max(c0, 0):max(c0 + fw, 0)]  # cropped
+        (t, l), (n, m) = (max(-r0, 0), max(-c0, 0)), a.shape[1:3]
+        out[:, :t] = out[:, t + n:] = out[:, t:t + n, :l] = out[:, t:t + n, l + m:] = 0
+        out[:, t:t + n, l:l + m] = a
+        return out
+
+    def windows(a: np.ndarray, wh=kh, ww=kw, st=stride) -> np.ndarray:
+        """The NHWC ``a``'s wh x ww windows at stride ``st``, (B, Ho, Wo, G, wh, ww, C/G)."""
+        win = np.lib.stride_tricks.sliding_window_view(a, (wh, ww), (1, 2))[:, ::st[0], ::st[1]]
+        return win.reshape(*win.shape[:3], groups, -1, wh, ww).transpose(0, 1, 2, 3, 5, 6, 4)
+
     y = np.empty((b, ho, wo, cout), np.result_type(x.data, kernel.data))
     depthwise = cg == og == 1
+    xp = framed(xn, *x_frame)  # the forward's; no backward keeps it
     if depthwise:
         xq = {p: np.ascontiguousarray(xp[:, p[0]::sh, p[1]::sw]) for p in phases}
         # each tap's kernel row repeated to (kh, kw, Wo, C), so a multiply
@@ -712,16 +724,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
                 if i or j:
                     yb += np.multiply(window(xq[i % sh, j % sw], i, j)[blk], k_taps[i, j], out=t)
     else:
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-        win = win.reshape(b, ho, wo, groups, cg, kh, kw).transpose(0, 1, 2, 3, 5, 6, 4)
         # (G, kh·kw·Cg, Og), rows in the columns' (i, j, c) order
         k3 = kernel.data.reshape(groups, og, cg, kh, kw).transpose(0, 3, 4, 2, 1)
         k3 = np.ascontiguousarray(k3).reshape(groups, kk, og)
-        # a block's columns (a copy, except for a 1x1 stride-1 conv) live for its
-        # GEMM only; dk gathers them again, so only it keeps the padded input
+        win = windows(xp)
+        # a block's columns (a copy, but for 1x1 at stride 1) live for its GEMM, taped or not
         for blk in blocks:
             np.matmul(rows(win[blk], kk), k3, out=rows(y[blk], og))
-        win = win if kernel.requires_grad else None
     # in place, the same bits as a broadcast add after; tiled to whole (Wo, Cout) rows
     y_rows = y.reshape(b * ho, wo * cout)
     y_rows += np.tile(bias.data, wo)
@@ -731,27 +740,37 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride=(1, 1), padding=(0, 0
         # an input that needs no gradient (the images entering the first conv) gets none
         dx = dk = db = None
         gn = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        if x.requires_grad:
-            # per tap, the (G, Og, Cg) kernel slice
-            k_t = kernel.data.reshape(groups, og, cg, kh, kw).transpose(3, 4, 0, 1, 2)
+        if x.requires_grad and depthwise:
             dxp = np.zeros((b, hp, wp, cin), gn.dtype)
             part = np.empty((nb, ho, wo, cin), gn.dtype)
             dx = dxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2)  # a view, filled below
+        elif x.requires_grad:
+            # stride phase (i0::sh, j0::sw) of dx (zero if no tap reaches it) is g correlated
+            # with its flipped taps (G, nu, nv, Og, Cg), from g's row (ph + i0) // sh + 1 - nu on
+            dxn = (np.zeros if sh > kh or sw > kw else np.empty)((b, h, w, cin), gn.dtype)
+            dx, k5 = dxn.transpose(0, 3, 1, 2), kernel.data.reshape(groups, og, cg, kh, kw)
+            k_flip = {((a - ph) % sh, (c - pw) % sw): np.ascontiguousarray(
+                k5[..., a::sh, c::sw][..., ::-1, ::-1].transpose(0, 3, 4, 1, 2))
+                for a, c in phases if (a - ph) % sh < h and (c - pw) % sw < w}
         dks = []
-        # blocks outermost, so a block's g stays in cache from its dk GEMM through
-        # its dx taps; blocks hold disjoint images, so dxp sums in the same order
+        # blocks outermost, so a block's g stays in cache from its dk GEMM through its dx
         for blk in blocks:
             if kernel.requires_grad and not depthwise:
-                dks.append(np.matmul(rows(win[blk], kk).swapaxes(1, 2), rows(gn[blk], og)))
-            if x.requires_grad:
+                dks.append(np.matmul(rows(windows(framed(xn[blk], *x_frame)), kk).swapaxes(1, 2),
+                                     rows(gn[blk], og)))
+            if x.requires_grad and depthwise:
                 p = part[:blk.stop - blk.start]
                 for a, c in phases:
                     for i, j in itertools.product(range(a, kh, sh), range(c, kw, sw)):
-                        if depthwise:
-                            np.multiply(gn[blk], k_taps[i, j], out=p)
-                        else:
-                            np.matmul(rows(gn[blk], og), k_t[i, j], out=rows(p, cg))
+                        np.multiply(gn[blk], k_taps[i, j], out=p)
                         window(dxp[:, a::sh, c::sw], i, j)[blk] += p
+            elif x.requires_grad:
+                for (i0, j0), kf in k_flip.items():
+                    d, (nu, nv) = dxn[blk, i0::sh, j0::sw], kf.shape[1:3]
+                    fr = framed(gn[blk], (ph + i0) // sh + 1 - nu, (pw + j0) // sw + 1 - nv,
+                                d.shape[1] + nu - 1, d.shape[2] + nv - 1)
+                    d[...] = np.matmul(rows(windows(fr, nu, nv, (1, 1)), nu * nv * og),
+                                       kf.reshape(groups, -1, cg)).swapaxes(0, 1).reshape(d.shape)
         if kernel.requires_grad and depthwise:
             dk = np.stack([np.einsum("bhwc,bhwc->c", gn, window(xq[i % sh, j % sw], i, j))
                            for i, j in np.ndindex(kh, kw)], axis=1).reshape(kernel.shape)
