@@ -3,6 +3,7 @@ workflow, evaluation, and the comparison-report CSV."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -181,6 +182,7 @@ def evaluate(model, manifest: D.DatasetManifest,
              epoch: int = 0, split: str = "val"):
     """Deterministic inference pass -> (MetricsRecord, ConfusionMatrix).
     Batches of 64 stream in the model's dtype: one is decoded at a time.
+    A multi-batch pass runs its forwards in :mod:`vitbench.workers`, same bits.
     A manifest whose class count is not the model's is a
     :class:`ValidationError`, raised before any image is decoded."""
     if not manifest.entries:
@@ -190,13 +192,15 @@ def evaluate(model, manifest: D.DatasetManifest,
     total_loss = 0.0
     batches = D.make_batches(manifest, batch_size=64, shuffle=False, cache=cache,
                              dtype=model.config.dtype)
+    from . import workers   # here: ``python -m vitbench.workers`` must find it unloaded
     n = 0
-    for batch in batches:
-        logits = model.forward_batch(batch.images)
-        loss = cross_entropy(logits, batch.labels)
-        total_loss += loss.item() * len(batch.labels)
-        cm.add(batch.labels, np.argmax(logits.data, axis=1))
-        n += len(batch.labels)
+    results = workers.forwards(model, batches, -(-len(manifest) // 64))
+    with contextlib.closing(results):   # on an error too: no reply owed outlives the pass
+        for logits, labels in results:
+            loss = cross_entropy(logits, labels)
+            total_loss += loss.item() * len(labels)
+            cm.add(labels, np.argmax(logits.data, axis=1))
+            n += len(labels)
     record = MetricsRecord(
         model=model.kind, dataset=_dataset_name(manifest),
         epoch=epoch, split=split,

@@ -366,7 +366,8 @@ class TestBadInputs:
 
     def test_odd_image_after_the_first_batch(self, tmp_path, capsys, monkeypatch):
         """Batches stream, so the 70th image's other size is found after
-        the first batch of 64 has run forward."""
+        the first batch of 64 has been handed on to run forward (in a
+        worker process when there is a second CPU)."""
         data = D.generate_synthetic(tmp_path / "d", "d", 3, 30, seed=1)
         rel = D.load_manifest(data).entries[69][0]
         D.generate_synthetic(tmp_path / "small", "small", 1, 1, image_size=20)
@@ -375,19 +376,20 @@ class TestBadInputs:
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(Checkpoint(kind=model.kind, config=model.config.to_dict(),
                                    params=snapshot_params(model)), ckpt)
-        forwards = []
-        forward = type(model).forward_batch
+        yielded = []
+        make_batches = D.make_batches
 
-        def counting(self, images):
-            forwards.append(len(images))
-            return forward(self, images)
+        def counting(*args, **kwargs):
+            for batch in make_batches(*args, **kwargs):
+                yielded.append(len(batch.labels))
+                yield batch
 
-        monkeypatch.setattr(type(model), "forward_batch", counting)
+        monkeypatch.setattr(D, "make_batches", counting)
         assert run(["evaluate", ckpt, data]) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and err.startswith("error:"), err
         assert rel in err and "has shape (3, 20, 20)" in err
-        assert forwards == [64]
+        assert yielded == [64]
 
 
 class TestCompare:

@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from vitbench import checkpoint
 from vitbench import data as D
 from vitbench import tensor as T
 from vitbench import train as train_module
+from vitbench import workers
 from vitbench.checkpoint import (
     Checkpoint,
     load_checkpoint,
@@ -661,3 +666,143 @@ class TestComparisonCsv:
         path2 = tmp_path / "cmp2.csv"
         emit_comparison(parsed, path2)
         assert path.read_text() == path2.read_text()
+
+
+two_cpus = pytest.mark.skipif(workers._cpus() < 2, reason="the worker path needs a second CPU")
+
+# run in a fresh interpreter by the subprocess tests below
+_SUBPROCESS_PASS = """
+import sys
+from vitbench import data as D, train, workers
+num_classes, root = int(sys.argv[1]), sys.argv[2]
+manifest = D.load_manifest(D.generate_synthetic(root, "p", 3, 50, seed=3))
+manifest = D.DatasetManifest(name="p", class_names=[str(c) for c in range(num_classes)],
+                             entries=manifest.entries, root=manifest.root)
+record, cm = train.evaluate(train.make_model("vit", {"num_classes": num_classes}), manifest)
+assert cm.total == 150
+print(*[w.pid for w in workers._workers])
+"""
+
+
+def _subprocess_env() -> dict:
+    src = str(Path(train_module.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+@pytest.fixture(scope="module")
+def three_batches(tmp_path_factory):
+    """150 images of 3 classes: batches of 64, 64 and 22."""
+    root = tmp_path_factory.mktemp("three")
+    return D.load_manifest(D.generate_synthetic(root, "three", 3, 50, seed=5))
+
+
+def _reference_evaluate(model, manifest):
+    """The in-process loop ``evaluate`` ran before its forwards moved."""
+    cm = ConfusionMatrix(manifest.num_classes)
+    total_loss, n = 0.0, 0
+    for batch in D.make_batches(manifest, batch_size=64, shuffle=False,
+                                dtype=model.config.dtype):
+        logits = model.forward_batch(batch.images)
+        loss = T.cross_entropy(logits, batch.labels)
+        total_loss += loss.item() * len(batch.labels)
+        cm.add(batch.labels, np.argmax(logits.data, axis=1))
+        n += len(batch.labels)
+    return MetricsRecord(model.kind, "three", 0, "val", cm.accuracy, total_loss / n), cm
+
+
+def _assert_same_pass(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1].counts, want[1].counts)
+
+
+@two_cpus
+class TestWorkers:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_same_bits_as_the_in_process_loop(self, kind, dtype, three_batches):
+        model = make_model(kind, {"num_classes": 3, "dtype": dtype}, seed=4)
+        got = evaluate(model, three_batches)
+        assert len(workers._workers) >= 2
+        _assert_same_pass(got, _reference_evaluate(model, three_batches))
+
+    def test_format_error_mid_pass_then_a_good_pass(self, tmp_path, three_batches):
+        data = D.generate_synthetic(tmp_path / "d", "d", 3, 50, seed=5)
+        rel = D.load_manifest(data).entries[69][0]
+        D.generate_synthetic(tmp_path / "small", "small", 1, 1, image_size=20)
+        (tmp_path / "d" / rel).write_bytes((tmp_path / "small" / "class0_0000.ppm").read_bytes())
+        model = make_model("resnet-mini", {"num_classes": 3}, seed=4)
+        with pytest.raises(FormatError, match="has shape"):
+            evaluate(model, D.load_manifest(data))
+        _assert_same_pass(evaluate(model, three_batches),
+                          _reference_evaluate(model, three_batches))
+
+    def test_non_finite_parameter_is_contract_error(self, three_batches):
+        model = make_model("vit", {"num_classes": 3}, seed=4)
+        model.params["head.w"].data[0, 0] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            evaluate(model, three_batches)
+        model.params["head.w"].data[0, 0] = 0.0
+        _assert_same_pass(evaluate(model, three_batches),
+                          _reference_evaluate(model, three_batches))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_parent_holds_at_most_one_earlier_batch(self, dtype, three_batches, monkeypatch):
+        """The twin of ``TestEvaluate::test_holds_at_most_one_earlier_batch``
+        for the worker path: when ``make_batches`` yields a batch, at most
+        one batch it yielded earlier is still alive in the parent."""
+        make_batches, seen, earlier_alive = D.make_batches, [], []
+
+        def recording(*args, **kwargs):
+            for batch in make_batches(*args, **kwargs):
+                assert batch.images.dtype == np.dtype(dtype)
+                earlier_alive.append(sum(ref() is not None for ref in seen))
+                seen.append(weakref.ref(batch.images))
+                yield batch
+
+        monkeypatch.setattr(D, "make_batches", recording)
+        model = make_model("vgg-mini", {"num_classes": 3, "dtype": dtype}, seed=4)
+        evaluate(model, three_batches)
+        assert len(seen) == 3 and len(workers._workers) >= 2
+        assert max(earlier_alive) <= 1, earlier_alive
+
+    def test_replies_larger_than_a_pipe_holds(self, tmp_path):
+        """A 2,000-class ViT's logits are 512 KB a batch: a worker writing
+        one while the parent writes the next batch must not stall both."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _SUBPROCESS_PASS, "2000", str(tmp_path)],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_worker_outlives_its_parent(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SUBPROCESS_PASS, "3", str(tmp_path)],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        pids = [int(p) for p in proc.stdout.split()]
+        assert len(pids) == min(workers._cpus(), 3)
+        for pid in pids:   # a zombie would still answer signal 0
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def test_forward_bits_do_not_depend_on_the_blas_thread_count():
+    """What the worker path relies on: a forward at one BLAS thread gives
+    the bytes it gives at the default count, for every kind and dtype."""
+    script = """
+import hashlib
+import numpy as np
+from vitbench.train import MODEL_KINDS, make_model
+x = np.random.default_rng(0).random((64, 3, 32, 32))
+for kind in MODEL_KINDS:
+    for dtype in ("float32", "float64"):
+        logits = make_model(kind, {"num_classes": 3, "dtype": dtype}, seed=1).forward_batch(x)
+        print(kind, dtype, hashlib.sha256(logits.data.tobytes()).hexdigest())
+"""
+    default = {k: v for k, v in _subprocess_env().items() if k not in workers._ONE_THREAD}
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=env, timeout=120, check=True).stdout
+        for env in (default, {**default, **workers._ONE_THREAD})]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 2 * len(MODEL_KINDS)
