@@ -182,7 +182,7 @@ def evaluate(model, manifest: D.DatasetManifest,
              epoch: int = 0, split: str = "val"):
     """Deterministic inference pass -> (MetricsRecord, ConfusionMatrix).
     Batches of 64 stream in the model's dtype: one is decoded at a time.
-    A multi-batch pass runs its forwards in :mod:`vitbench.workers`, same bits.
+    A long pass runs its forwards in :mod:`vitbench.workers`, same bits.
     A manifest whose class count is not the model's is a
     :class:`ValidationError`, raised before any image is decoded."""
     if not manifest.entries:

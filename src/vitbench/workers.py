@@ -1,9 +1,7 @@
-"""Model forwards in worker processes, one BLAS thread each: a small GEMM
-cannot pay for a second BLAS thread, but two one-thread forwards side by
-side use a second core.  Frames are pickles over a worker's stdin and
-stdout: a pass sends ``(model, strict, np.geterr())`` to each of its
-workers, then one image batch per forward; the reply is the logits array
-or the exception the forward raised."""
+"""Model forwards in two worker processes, one BLAS thread each: a small GEMM
+cannot pay for a second BLAS thread, but two one-thread forwards use a second
+core.  A pass pickles ``(model, strict, np.geterr())`` to each worker, then one
+batch per forward; a reply is the logits or the exception, and the warnings."""
 
 from __future__ import annotations
 
@@ -16,6 +14,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +23,15 @@ from . import tensor as T
 from .cnn import CnnModel
 from .vit import ViTClassifier
 
-# a worker can rebuild only the classes make_model builds
-POOLED = (ViTClassifier, CnnModel)
-# forwards sent to one worker ahead of the reply the caller reads next
-IN_FLIGHT = 2
+POOLED = (ViTClassifier, CnnModel)   # a worker can rebuild only what make_model builds
+# a worker's first forward of a pass is slow: in passes shorter than this the
+# pool lost to the in-process loop on some model kind (README)
+MIN_BATCHES = 16
+WORKERS = 2   # the only pool size measured
+IN_FLIGHT = 2   # forwards sent to a worker ahead of the reply read next
 _ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 _workers: list[subprocess.Popen] = []   # started on first use, ended at exit
+_registries: dict[str, dict] = {}   # per file: which re-issued warnings were shown
 
 
 def _cpus() -> int:
@@ -37,11 +39,11 @@ def _cpus() -> int:
 
 
 def _start() -> subprocess.Popen:
-    src = str(Path(__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.Popen([sys.executable, "-m", "vitbench.workers"],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            env={**os.environ, **_ONE_THREAD, "PYTHONPATH": path})
+                            # first on sys.path under -m, not the caller's cwd
+                            cwd=Path(__file__).resolve().parents[1],
+                            env={**os.environ, **_ONE_THREAD})
 
 
 def _send(worker: subprocess.Popen, message) -> None:
@@ -51,60 +53,55 @@ def _send(worker: subprocess.Popen, message) -> None:
 
 def _receive(worker: subprocess.Popen, labels) -> tuple:
     try:
-        reply = pickle.load(worker.stdout)
+        reply, caught = pickle.load(worker.stdout)
     except EOFError:
         raise ChildProcessError(
             f"evaluation worker {worker.pid} exited with code {worker.wait()}") from None
+    for message, category, filename, lineno in caught:   # through the caller's filters
+        warnings.warn_explicit(message, category, filename, lineno,
+                               registry=_registries.setdefault(filename, {}))
     if isinstance(reply, BaseException):
         raise reply
     return T.Tensor(reply), labels
 
 
-def _close(worker: subprocess.Popen, kill: bool = False) -> None:
-    if kill:
-        worker.kill()
-    with contextlib.suppress(BrokenPipeError):   # a request cut short by the kill
-        worker.stdin.close()
-    worker.stdout.close()
-    worker.wait()
-
-
 def forwards(model, batches, n_batches: int):
-    """Yield ``(logits, labels)`` for each of ``batches``, in order.  Batch
-    *i* runs in worker *i* mod N, N = min(CPUs, ``n_batches``); with N = 1,
-    or a model no worker can rebuild, all run here.  Passes must not overlap."""
-    n = min(_cpus(), n_batches)
-    if n < 2 or type(model) not in POOLED:
-        for batch in batches:
-            yield model.forward_batch(batch.images), batch.labels
+    """Yield ``(logits, labels)`` for each of ``batches``, in order, one pass at
+    a time: batch *i* from worker *i* mod WORKERS, or all from here with one
+    CPU, a model no worker can rebuild, or fewer than MIN_BATCHES batches."""
+    if _cpus() < WORKERS or n_batches < MIN_BATCHES or type(model) not in POOLED:
+        yield from ((model.forward_batch(b.images), b.labels) for b in batches)
         return
-    while len(_workers) < n:
+    while len(_workers) < WORKERS:
         _workers.append(_start())
-    workers = _workers[:n]
     pending = []   # (worker, labels), oldest first
     try:
         for i, batch in enumerate(batches):
-            if i < n:
-                _send(workers[i], (model, T._STRICT, np.geterr()))
-            _send(workers[i % n], batch.images)
-            pending.append((workers[i % n], batch.labels))
-            if len(pending) == IN_FLIGHT * n:
+            worker = _workers[i % WORKERS]
+            if i < WORKERS:
+                _send(worker, (model, T._STRICT, np.geterr()))
+            _send(worker, batch.images)
+            pending.append((worker, batch.labels))
+            if len(pending) == IN_FLIGHT * WORKERS:
                 yield _receive(*pending.pop(0))
         while pending:
             yield _receive(*pending.pop(0))
     except BaseException:
-        # a reply still owed would reach the next pass: start afresh
-        for worker in workers:
-            _close(worker, kill=True)
-            _workers.remove(worker)
+        close(kill=True)   # a reply still owed would reach the next pass: start afresh
         raise
 
 
 @atexit.register
-def close() -> None:
-    """End every worker: each exits at the end of its input."""
+def close(kill: bool = False) -> None:
+    """End every worker: each exits at the end of its input, or is killed."""
     while _workers:
-        _close(_workers.pop())
+        worker = _workers.pop()
+        if kill:
+            worker.kill()
+        with contextlib.suppress(BrokenPipeError):   # a request cut short by the kill
+            worker.stdin.close()
+        worker.stdout.close()
+        worker.wait()
 
 
 def _serve() -> None:
@@ -133,11 +130,14 @@ def _serve() -> None:
             T.set_strict(strict)
             np.seterr(**errstate)
             continue
-        try:
-            reply = model.forward_batch(request).data
-        except Exception as exc:
-            reply = exc
-        outbox.put(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")   # the parent's filters choose
+            try:
+                reply = model.forward_batch(request).data
+            except Exception as exc:
+                reply = exc
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        outbox.put(pickle.dumps((reply, caught), protocol=pickle.HIGHEST_PROTOCOL))
     outbox.put(None)
     writer.join()
 

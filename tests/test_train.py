@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -674,6 +676,7 @@ two_cpus = pytest.mark.skipif(workers._cpus() < 2, reason="the worker path needs
 _SUBPROCESS_PASS = """
 import sys
 from vitbench import data as D, train, workers
+workers.MIN_BATCHES = 2
 num_classes, root = int(sys.argv[1]), sys.argv[2]
 manifest = D.load_manifest(D.generate_synthetic(root, "p", 3, 50, seed=3))
 manifest = D.DatasetManifest(name="p", class_names=[str(c) for c in range(num_classes)],
@@ -708,7 +711,7 @@ def _reference_evaluate(model, manifest):
         total_loss += loss.item() * len(batch.labels)
         cm.add(batch.labels, np.argmax(logits.data, axis=1))
         n += len(batch.labels)
-    return MetricsRecord(model.kind, "three", 0, "val", cm.accuracy, total_loss / n), cm
+    return MetricsRecord(model.kind, manifest.name, 0, "val", cm.accuracy, total_loss / n), cm
 
 
 def _assert_same_pass(got, want):
@@ -717,13 +720,33 @@ def _assert_same_pass(got, want):
 
 
 @two_cpus
+def test_only_passes_of_min_batches_run_in_workers(tmp_path):
+    workers.close()
+    data = D.load_manifest(D.generate_synthetic(tmp_path, "long", 3, 342, seed=6))
+    model = make_model("vit", {"num_classes": 3}, seed=4)
+    for n_batches, started in ((workers.MIN_BATCHES - 1, 0),
+                               (workers.MIN_BATCHES, workers.WORKERS)):
+        manifest = dataclasses.replace(data, entries=data.entries[:64 * n_batches])
+        got = evaluate(model, manifest)
+        assert len(workers._workers) == started
+        _assert_same_pass(got, _reference_evaluate(model, manifest))
+
+
+@pytest.fixture
+def short_passes_in_workers(monkeypatch):
+    """Three-batch passes take the worker path."""
+    monkeypatch.setattr(workers, "MIN_BATCHES", 2)
+
+
+@two_cpus
+@pytest.mark.usefixtures("short_passes_in_workers")
 class TestWorkers:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_same_bits_as_the_in_process_loop(self, kind, dtype, three_batches):
         model = make_model(kind, {"num_classes": 3, "dtype": dtype}, seed=4)
         got = evaluate(model, three_batches)
-        assert len(workers._workers) >= 2
+        assert len(workers._workers) == workers.WORKERS
         _assert_same_pass(got, _reference_evaluate(model, three_batches))
 
     def test_format_error_mid_pass_then_a_good_pass(self, tmp_path, three_batches):
@@ -763,8 +786,43 @@ class TestWorkers:
         monkeypatch.setattr(D, "make_batches", recording)
         model = make_model("vgg-mini", {"num_classes": 3, "dtype": dtype}, seed=4)
         evaluate(model, three_batches)
-        assert len(seen) == 3 and len(workers._workers) >= 2
+        assert len(seen) == 3 and len(workers._workers) == workers.WORKERS
         assert max(earlier_alive) <= 1, earlier_alive
+
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_warnings_reach_the_callers_filters(self, action, three_batches, monkeypatch):
+        """A forward's numpy warnings go through the caller's filters, as
+        they do in process: recorded alike, or raised under "error"."""
+        model = make_model("vit", {"num_classes": 3}, seed=4)
+        model.params["head.w"].data[...] = 3e38   # overflows the head's matmul
+
+        def run(min_batches):
+            monkeypatch.setattr(workers, "MIN_BATCHES", min_batches)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(RuntimeWarning if action == "error" else ContractError):
+                    evaluate(model, three_batches)
+            return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+        in_workers = run(2)
+        assert in_workers == run(99)
+        assert len(in_workers) == (0 if action == "error" else 2)
+        model.params["head.w"].data[...] = 0.0   # the pool serves the next pass
+        _assert_same_pass(evaluate(model, three_batches),
+                          _reference_evaluate(model, three_batches))
+
+    def test_a_package_in_the_callers_cwd_is_not_imported(self, tmp_path, three_batches,
+                                                          monkeypatch):
+        """``python -m`` puts the worker's cwd first on its sys.path: a
+        ``vitbench`` there must not be the one a worker imports."""
+        workers.close()
+        (tmp_path / "vitbench").mkdir()
+        (tmp_path / "vitbench" / "__init__.py").write_text("raise SystemExit(7)\n")
+        monkeypatch.chdir(tmp_path)
+        model = make_model("resnet-mini", {"num_classes": 3}, seed=4)
+        _assert_same_pass(evaluate(model, three_batches),
+                          _reference_evaluate(model, three_batches))
+        assert len(workers._workers) == workers.WORKERS
 
     def test_replies_larger_than_a_pipe_holds(self, tmp_path):
         """A 2,000-class ViT's logits are 512 KB a batch: a worker writing
@@ -780,7 +838,7 @@ class TestWorkers:
             capture_output=True, text=True, env=_subprocess_env(), timeout=120)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         pids = [int(p) for p in proc.stdout.split()]
-        assert len(pids) == min(workers._cpus(), 3)
+        assert len(pids) == workers.WORKERS
         for pid in pids:   # a zombie would still answer signal 0
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
