@@ -111,6 +111,13 @@ def snapshot_params(model) -> dict:
     return {name: t.data.copy() for name, t in model.params.items()}
 
 
+def checkpoint_of(model, metadata: dict) -> Checkpoint:
+    """Package a model: its kind, its config as plain values and a copy of
+    its parameters, with ``metadata``."""
+    return Checkpoint(kind=model.kind, config=model.config.to_dict(),
+                      params=snapshot_params(model), metadata=metadata)
+
+
 def load_params_into(model, params: dict) -> None:
     """Load arrays into every parameter of a model.  The name sets must
     match exactly, and each array must have its parameter's shape; any

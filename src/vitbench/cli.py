@@ -21,8 +21,7 @@ import numpy as np
 
 from . import data as D
 from . import tensor as T
-from .checkpoint import (Checkpoint, load_checkpoint, load_params_into,
-                         save_checkpoint, snapshot_params)
+from .checkpoint import checkpoint_of, load_checkpoint, load_params_into, save_checkpoint
 from .errors import ConfigurationError, ToolkitError, ValidationError
 from .train import (
     MODEL_KINDS,
@@ -192,11 +191,9 @@ def cmd_finetune(args) -> int:
     model, history = fine_tune(ckpt, manifest, cfg, val_manifest=val,
                                freeze_backbone=args.freeze_backbone)
     args.out.mkdir(parents=True, exist_ok=True)
-    out_ckpt = Checkpoint(kind=model.kind, config=model.config.to_dict(),
-                          params=snapshot_params(model),
-                          metadata={"seed": cfg.seed, "epochs": cfg.epochs,
-                                    "source_dataset": manifest.name,
-                                    "fine_tuned_from": str(args.checkpoint)})
+    out_ckpt = checkpoint_of(model, {"seed": cfg.seed, "epochs": cfg.epochs,
+                                     "source_dataset": manifest.name,
+                                     "fine_tuned_from": str(args.checkpoint)})
     path = args.out / f"{model.kind}_{manifest.name}_finetuned.ckpt"
     save_checkpoint(out_ckpt, path)
     for rec in history:

@@ -86,26 +86,12 @@ class CnnModel(Model):
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
 
-        def normal(*shape):
-            # He-scaled for conv kernels (fan-in = Cin*Kh*Kw), small-normal
-            # for the linear head; keeps relu preactivations well away from
-            # the kink through deep stacks
-            if len(shape) == 4:
-                fan_in = shape[1] * shape[2] * shape[3]
-                sigma = np.sqrt(2.0 / fan_in)
-            else:
-                sigma = 0.02
-            return Tensor(rng.normal(0.0, sigma, size=shape).astype(config.dtype),
-                          requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape, config.dtype), requires_grad=True)
-
-        p = self.params
-
         def conv(name, cout, cin, k=3):
-            p[name + ".w"] = normal(cout, cin, k, k)
-            p[name + ".b"] = zeros(cout)
+            # He-scaled (fan-in = Cin*Kh*Kw): keeps relu preactivations well
+            # away from the kink through deep stacks
+            sigma = np.sqrt(2.0 / (cin * k * k))
+            self.add_param(name + ".w", rng.normal(0.0, sigma, (cout, cin, k, k)))
+            self.add_param(name + ".b", np.zeros(cout))
 
         widths = config.stage_widths
         vgg = config.kind == "vgg-mini"
@@ -130,12 +116,9 @@ class CnnModel(Model):
                 cin = w
         # vgg-mini flattens its last feature map; the others pool it to a vector
         spatial = config.image_size // 2 ** len(widths) if vgg else 1
-        p["head.w"] = normal(widths[-1] * spatial * spatial, config.num_classes)
-        p["head.b"] = zeros(config.num_classes)
-
-    def block_params(self, stage: int, j: int) -> dict:
-        pre = f"stages.{stage}.{j}."
-        return {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
+        head_in = widths[-1] * spatial * spatial
+        self.add_param("head.w", rng.normal(0.0, 0.02, (head_in, config.num_classes)))
+        self.add_param("head.b", np.zeros(config.num_classes))
 
     def forward_batch(self, images: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """B x C x H x W batch -> logits; ``rng`` goes unread (no dropout)."""
@@ -147,7 +130,7 @@ class CnnModel(Model):
             x = T.relu(T.conv2d(x, p["stem.w"], p["stem.b"], padding=1))
         for s in range(len(cfg.stage_widths)):
             for j in range(cfg.blocks_per_stage):
-                blk = self.block_params(s, j)
+                blk = self.block_params(f"stages.{s}.{j}.")
                 stride = 2 if j == 0 else 1
                 if vgg:
                     x = T.relu(T.conv2d(x, blk["w"], blk["b"], padding=1))

@@ -138,6 +138,15 @@ class Model:
             )
         return images
 
+    def add_param(self, name: str, values: np.ndarray) -> None:
+        """Register ``values``, drawn in float64, as the trainable parameter
+        ``name``, cast to ``config.dtype``."""
+        self.params[name] = Tensor(values.astype(self.config.dtype), requires_grad=True)
+
+    def block_params(self, prefix: str) -> dict:
+        """The parameters named ``prefix + key``, keyed by ``key``."""
+        return {k[len(prefix):]: v for k, v in self.params.items() if k.startswith(prefix)}
+
     def head_names(self) -> list[str]:
         return [k for k in self.params if k.startswith("head.")]
 

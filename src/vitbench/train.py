@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import data as D
-from .checkpoint import Checkpoint, load_params_into, snapshot_params
+from . import workers
+from .checkpoint import Checkpoint, checkpoint_of, load_params_into
 from .cnn import CNN_KINDS, CnnConfig, CnnModel
 from .errors import (
     ConfigurationError,
@@ -192,7 +193,6 @@ def evaluate(model, manifest: D.DatasetManifest,
     total_loss = 0.0
     batches = D.make_batches(manifest, batch_size=64, shuffle=False, cache=cache,
                              dtype=model.config.dtype)
-    from . import workers   # here: ``python -m vitbench.workers`` must find it unloaded
     n = 0
     results = workers.forwards(model, batches, -(-len(manifest) // 64))
     with contextlib.closing(results):   # on an error too: no reply owed outlives the pass
@@ -289,19 +289,14 @@ def pretrain(kind: str, model_config: dict,
         raise ConfigurationError("surrogate dataset needs at least 2 classes")
     model = make_model(kind, model_config, seed=cfg.seed)
     history = train(model, surrogate_manifest, None, cfg)
-    return Checkpoint(
-        kind=kind,
-        config=model.config.to_dict(),
-        params=snapshot_params(model),
-        metadata={
-            "seed": cfg.seed,
-            "epochs": cfg.epochs,
-            "source_dataset": surrogate_manifest.name,
-            "adam": {"lr": cfg.lr, "beta1": ADAM_BETA1,
-                     "beta2": ADAM_BETA2, "eps": ADAM_EPS},
-            "final_train_loss": history[-1].loss if history else None,
-        },
-    )
+    return checkpoint_of(model, {
+        "seed": cfg.seed,
+        "epochs": cfg.epochs,
+        "source_dataset": surrogate_manifest.name,
+        "adam": {"lr": cfg.lr, "beta1": ADAM_BETA1,
+                 "beta2": ADAM_BETA2, "eps": ADAM_EPS},
+        "final_train_loss": history[-1].loss if history else None,
+    })
 
 
 def fine_tune(ckpt: Checkpoint, target_manifest: D.DatasetManifest,

@@ -164,45 +164,29 @@ class ViTClassifier(Model):
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
         d = config.embed_dim
-
-        def normal(*shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape).astype(config.dtype),
-                          requires_grad=True)
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape, config.dtype), requires_grad=True)
-
-        def ones(*shape):
-            return Tensor(np.ones(shape, config.dtype), requires_grad=True)
-
-        p = self.params
-        p["patch_proj.w"] = normal(config.patch_dim, d)
-        p["patch_proj.b"] = zeros(d)
-        p["cls_token"] = zeros(d)
-        p["pos_table"] = normal(config.seq_len, d)
         hidden = config.mlp_hidden
+        self.add_param("patch_proj.w", rng.normal(0.0, 0.02, (config.patch_dim, d)))
+        self.add_param("patch_proj.b", np.zeros(d))
+        self.add_param("cls_token", np.zeros(d))
+        self.add_param("pos_table", rng.normal(0.0, 0.02, (config.seq_len, d)))
         for i in range(config.num_layers):
             pre = f"blocks.{i}."
-            p[pre + "norm1.gamma"] = ones(d)
-            p[pre + "norm1.beta"] = zeros(d)
+            self.add_param(pre + "norm1.gamma", np.ones(d))
+            self.add_param(pre + "norm1.beta", np.zeros(d))
             for nm in ("wq", "wk", "wv", "wo"):
-                p[pre + "attn." + nm] = normal(d, d)
+                self.add_param(pre + "attn." + nm, rng.normal(0.0, 0.02, (d, d)))
             for nm in ("bq", "bk", "bv", "bo"):
-                p[pre + "attn." + nm] = zeros(d)
-            p[pre + "norm2.gamma"] = ones(d)
-            p[pre + "norm2.beta"] = zeros(d)
-            p[pre + "mlp.w1"] = normal(d, hidden)
-            p[pre + "mlp.b1"] = zeros(hidden)
-            p[pre + "mlp.w2"] = normal(hidden, d)
-            p[pre + "mlp.b2"] = zeros(d)
-        p["final_norm.gamma"] = ones(d)
-        p["final_norm.beta"] = zeros(d)
-        p["head.w"] = normal(d, config.num_classes)
-        p["head.b"] = zeros(config.num_classes)
-
-    def block_params(self, i: int) -> dict:
-        pre = f"blocks.{i}."
-        return {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
+                self.add_param(pre + "attn." + nm, np.zeros(d))
+            self.add_param(pre + "norm2.gamma", np.ones(d))
+            self.add_param(pre + "norm2.beta", np.zeros(d))
+            self.add_param(pre + "mlp.w1", rng.normal(0.0, 0.02, (d, hidden)))
+            self.add_param(pre + "mlp.b1", np.zeros(hidden))
+            self.add_param(pre + "mlp.w2", rng.normal(0.0, 0.02, (hidden, d)))
+            self.add_param(pre + "mlp.b2", np.zeros(d))
+        self.add_param("final_norm.gamma", np.ones(d))
+        self.add_param("final_norm.beta", np.zeros(d))
+        self.add_param("head.w", rng.normal(0.0, 0.02, (d, config.num_classes)))
+        self.add_param("head.b", np.zeros(config.num_classes))
 
     def _blocks(self, seq: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """The encoder blocks on a (…, T, D) stream, before the final norm.
@@ -210,7 +194,7 @@ class ViTClassifier(Model):
         p = self.config.dropout if rng is not None else 0.0
         x = seq
         for i in range(self.config.num_layers):
-            blk = self.block_params(i)
+            blk = self.block_params(f"blocks.{i}.")
             attn_in = T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"])
             x = T.add(x, T.dropout(multi_head_attention(attn_in, blk, self.config.num_heads), p, rng))
             mlp_in = T.layer_norm(x, blk["norm2.gamma"], blk["norm2.beta"])

@@ -39,24 +39,30 @@ def _cpus() -> int:
 
 
 def _start() -> subprocess.Popen:
-    return subprocess.Popen([sys.executable, "-m", "vitbench.workers"],
+    return subprocess.Popen([sys.executable, "-c", "from vitbench.workers import _serve; _serve()"],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            # first on sys.path under -m, not the caller's cwd
+                            # first on sys.path under -c, not the caller's cwd
                             cwd=Path(__file__).resolve().parents[1],
                             env={**os.environ, **_ONE_THREAD})
 
 
+def _exited(worker: subprocess.Popen) -> ChildProcessError:
+    return ChildProcessError(f"evaluation worker {worker.pid} exited with code {worker.wait()}")
+
+
 def _send(worker: subprocess.Popen, message) -> None:
-    pickle.dump(message, worker.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-    worker.stdin.flush()
+    try:
+        pickle.dump(message, worker.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+        worker.stdin.flush()
+    except BrokenPipeError:
+        raise _exited(worker) from None
 
 
 def _receive(worker: subprocess.Popen, labels) -> tuple:
     try:
         reply, caught = pickle.load(worker.stdout)
     except EOFError:
-        raise ChildProcessError(
-            f"evaluation worker {worker.pid} exited with code {worker.wait()}") from None
+        raise _exited(worker) from None
     for message, category, filename, lineno in caught:   # through the caller's filters
         warnings.warn_explicit(message, category, filename, lineno,
                                registry=_registries.setdefault(filename, {}))
@@ -140,7 +146,3 @@ def _serve() -> None:
         outbox.put(pickle.dumps((reply, caught), protocol=pickle.HIGHEST_PROTOCOL))
     outbox.put(None)
     writer.join()
-
-
-if __name__ == "__main__":
-    _serve()

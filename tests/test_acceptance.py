@@ -153,7 +153,7 @@ class TestAttentionSoftmaxInvariants:
             slice_count += rows
 
         model = ViTClassifier(ViTConfig(num_classes=3, dtype="float64"), seed=3)
-        blk = model.block_params(0)
+        blk = model.block_params("blocks.0.")
         for p in blk.values():
             p.data = rng.normal(0, 0.2, p.data.shape)
         attn_rows = 0

@@ -195,7 +195,7 @@ class TestZeroWeightReduction:
         h = T.relu(T.conv2d(Tensor(x), model.params["stem.w"], model.params["stem.b"],
                             padding=1))
         for s in range(2):
-            blk = model.block_params(s, 0)
+            blk = model.block_params(f"stages.{s}.0.")
             h = T.relu(T.conv2d(h, blk["proj.w"], blk["proj.b"], stride=2))
         feat = T.global_avg_pool(h)
         expected = T.add(T.matmul(feat, model.params["head.w"]), model.params["head.b"])

@@ -813,7 +813,7 @@ class TestWorkers:
 
     def test_a_package_in_the_callers_cwd_is_not_imported(self, tmp_path, three_batches,
                                                           monkeypatch):
-        """``python -m`` puts the worker's cwd first on its sys.path: a
+        """``python -c`` puts the worker's cwd first on its sys.path: a
         ``vitbench`` there must not be the one a worker imports."""
         workers.close()
         (tmp_path / "vitbench").mkdir()
@@ -823,6 +823,32 @@ class TestWorkers:
         _assert_same_pass(evaluate(model, three_batches),
                           _reference_evaluate(model, three_batches))
         assert len(workers._workers) == workers.WORKERS
+
+    def test_a_worker_dead_before_its_request_is_named(self, three_batches, monkeypatch):
+        """A worker that dies before reading its next batch is a
+        ChildProcessError naming its PID and exit code, as a death before a
+        reply is; the next pass runs on fresh workers, same bits."""
+        make_batches, killed = D.make_batches, []
+
+        def killing(*args, **kwargs):
+            for i, batch in enumerate(make_batches(*args, **kwargs)):
+                if i == 2:   # batch 2 goes to worker 0, which is gone
+                    worker = workers._workers[0]
+                    worker.kill()
+                    worker.wait()
+                    killed.append(worker.pid)
+                yield batch
+
+        model = make_model("vit", {"num_classes": 3}, seed=4)
+        monkeypatch.setattr(D, "make_batches", killing)
+        with pytest.raises(ChildProcessError) as excinfo:
+            evaluate(model, three_batches)
+        assert str(excinfo.value) == f"evaluation worker {killed[0]} exited with code -9"
+        monkeypatch.setattr(D, "make_batches", make_batches)
+        _assert_same_pass(evaluate(model, three_batches),
+                          _reference_evaluate(model, three_batches))
+        assert len(workers._workers) == workers.WORKERS
+        assert killed[0] not in [w.pid for w in workers._workers]
 
     def test_replies_larger_than_a_pipe_holds(self, tmp_path):
         """A 2,000-class ViT's logits are 512 KB a batch: a worker writing

@@ -313,7 +313,7 @@ def per_image_logits(model, image):
     x = add_positional(embed_patches(patches, p["patch_proj.w"], p["patch_proj.b"]),
                        p["cls_token"], p["pos_table"])
     for i in range(cfg.num_layers):
-        blk = model.block_params(i)
+        blk = model.block_params(f"blocks.{i}.")
         attn_in = T.layer_norm(x, blk["norm1.gamma"], blk["norm1.beta"])
         x = T.add(x, multi_head_attention(attn_in, blk, cfg.num_heads))
         mlp_in = T.layer_norm(x, blk["norm2.gamma"], blk["norm2.beta"])
