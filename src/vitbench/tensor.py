@@ -201,17 +201,19 @@ class Tape:
         self._entries.append(_TapeEntry(output, inputs, backward_fn))
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
+def backward(loss: Tensor, tape: Tape, grad: float = 1.0) -> None:
     """Reverse sweep over the tape, accumulating gradients additively.
 
-    Each tape node is visited exactly once.  Intermediate gradients live in
-    a scratch table and are dropped; only the tape's leaves (requires-grad
-    inputs no entry produced) get gradient buffers, so running backward
-    twice without zeroing doubles every gradient.
+    The sweep starts from ``grad``, the loss's own gradient: a part of a
+    batch passes its share of the batch mean.  Each tape node is visited
+    exactly once.  Intermediate gradients live in a scratch table and are
+    dropped; only the tape's leaves (requires-grad inputs no entry
+    produced) get gradient buffers, so running backward twice without
+    zeroing doubles every gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    scratch: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    scratch: dict[int, np.ndarray] = {id(loss): np.full_like(loss.data, grad)}
     # every leaf ends up with a gradient buffer, even if the loss never
     # reaches it
     for t in tape._leaves.values():

@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from vitbench import cli
 from vitbench import data as D
+from vitbench import workers
 from vitbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint, snapshot_params
 from vitbench.cli import build_parser, main
 from vitbench.train import MetricsRecord, make_model
@@ -390,6 +392,30 @@ class TestBadInputs:
         assert err.count("error:") == 1 and err.startswith("error:"), err
         assert rel in err and "has shape (3, 20, 20)" in err
         assert yielded == [64]
+
+
+@pytest.mark.skipif(workers._cpus() < 2, reason="the worker path needs a second CPU")
+def test_pretrain_with_a_killed_worker_prints_one_error(tmp_path, capsys, monkeypatch):
+    """A training worker killed between two steps: one ``error:`` line
+    naming it, exit 1."""
+    data = D.generate_synthetic(tmp_path / "d", "d", 3, 4, seed=1)
+    monkeypatch.setattr(workers, "MIN_STEPS", 1)
+    make_batches, killed = D.make_batches, []
+
+    def killing(*args, **kwargs):
+        for i, batch in enumerate(make_batches(*args, **kwargs)):
+            if i == 1:
+                worker = workers._workers[0]
+                worker.send_signal(signal.SIGKILL)
+                worker.wait()
+                killed.append(worker.pid)
+            yield batch
+
+    monkeypatch.setattr(D, "make_batches", killing)
+    assert run(["pretrain", data, "--model", "vgg-mini", "--epochs", "1", "--batch-size", "8",
+                "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: worker {killed[0]} exited with code -9\n"
 
 
 class TestCompare:

@@ -1,8 +1,10 @@
 import dataclasses
 import os
+import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -155,19 +157,26 @@ class TestTrain:
         assert train(make_model("vit", {"num_classes": 3}, seed=1),
                      tiny_task, tiny_task, cfg) != h1
 
-    def test_each_epoch_draws_dropout_from_seed_epoch_1(self, tiny_task):
-        model = make_model("vit", {"num_classes": 3, "dropout": 0.5}, seed=0)
-        forward, states = model.forward_batch, []
+    @pytest.mark.parametrize("kind, parts", [("vit", ((8,), (4,))),
+                                             ("mobilenet-mini", ((4, 4), (2, 2)))],
+                             ids=["vit", "mobilenet-mini"])
+    def test_each_part_draws_dropout_from_seed_epoch_1_step_part(self, kind, parts,
+                                                                 tiny_task, monkeypatch):
+        """A ViT step is one part, a CNN step two halves (in process here)."""
+        monkeypatch.setattr(workers, "MIN_STEPS", 99)
+        model = make_model(kind, {"num_classes": 3, **({"dropout": 0.5} if kind == "vit" else {})})
+        forward, calls = model.forward_batch, []
 
         def recording(images, rng=None):
-            states.append(rng.bit_generator.state)
+            calls.append((len(images), rng.bit_generator.state))
             return forward(images, rng)
 
         model.forward_batch = recording
-        # one step per epoch and no val pass, so each call opens an epoch
-        train(model, tiny_task, None, TrainConfig(epochs=3, batch_size=12, seed=7))
-        assert states == [np.random.default_rng([7, e, 1]).bit_generator.state
-                          for e in range(3)]
+        # two steps of 8 and 4 images per epoch, no val pass
+        train(model, tiny_task, None, TrainConfig(epochs=2, batch_size=8, seed=7))
+        assert calls == [(n, np.random.default_rng([7, e, 1, b, h]).bit_generator.state)
+                         for e in range(2) for b, sizes in enumerate(parts)
+                         for h, n in enumerate(sizes)]
 
     def test_losses_finite(self, tiny_task):
         model = make_model("vgg-mini", {"num_classes": 3}, seed=0)
@@ -546,13 +555,14 @@ class TestTransferWorkflow:
         ckpt = pretrain(kind, {"num_classes": 3}, tiny_task,
                         TrainConfig(epochs=1, batch_size=8, seed=0))
         lengths = []
-        real_backward = train_module.backward
+        real_backward = T.backward
 
-        def recording_backward(loss, tape):
+        def recording_backward(loss, tape, grad):
             lengths.append(len(tape))
-            real_backward(loss, tape)
+            real_backward(loss, tape, grad)
 
-        monkeypatch.setattr(train_module, "backward", recording_backward)
+        monkeypatch.setattr(T, "backward", recording_backward)
+        monkeypatch.setattr(workers, "MIN_STEPS", 99)   # the halves' tapes in this process
         model, _ = fine_tune(ckpt, tiny_task, TrainConfig(epochs=2, batch_size=8, seed=1),
                              freeze_backbone=True)
         # head linear, cross-entropy; no backbone op is recorded
@@ -843,7 +853,7 @@ class TestWorkers:
         monkeypatch.setattr(D, "make_batches", killing)
         with pytest.raises(ChildProcessError) as excinfo:
             evaluate(model, three_batches)
-        assert str(excinfo.value) == f"evaluation worker {killed[0]} exited with code -9"
+        assert str(excinfo.value) == f"worker {killed[0]} exited with code -9"
         monkeypatch.setattr(D, "make_batches", make_batches)
         _assert_same_pass(evaluate(model, three_batches),
                           _reference_evaluate(model, three_batches))
@@ -870,18 +880,210 @@ class TestWorkers:
                 os.kill(pid, 0)
 
 
+def _train_digest(model, history) -> tuple:
+    """A run's history and, per parameter, its values and last gradient."""
+    return history, [(name, p.data.tobytes(), None if p.grad is None else p.grad.tobytes())
+                     for name, p in model.params.items()]
+
+
+@pytest.fixture
+def every_model_trains_in_workers(monkeypatch):
+    """Runs of one step or more on any model take the worker path."""
+    monkeypatch.setattr(workers, "MIN_STEPS", 1)
+    monkeypatch.setattr(workers, "TRAINED", workers.POOLED)
+
+
+def _in_process(monkeypatch, flag: bool = True) -> None:
+    monkeypatch.setattr(workers, "MIN_STEPS", 10**9 if flag else 1)
+
+
+@two_cpus
+@pytest.mark.usefixtures("every_model_trains_in_workers")
+class TestTrainingWorkers:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_same_bits_as_the_in_process_halves(self, kind, dtype, tiny_task, monkeypatch):
+        """Loss, gradients and parameters after Adam, with an odd batch (6
+        and 5 images) and a one-image batch (one half) in every epoch."""
+        config = {"num_classes": 3, "dtype": dtype, **({"dropout": 0.3} if kind == "vit" else {})}
+        cfg = TrainConfig(epochs=2, batch_size=11, seed=3)
+        runs = []
+        for in_process in (False, True):
+            _in_process(monkeypatch, in_process)
+            workers.close()
+            model = make_model(kind, config, seed=4)
+            runs.append(_train_digest(model, train(model, tiny_task, tiny_task, cfg)))
+            assert len(workers._workers) == (0 if in_process else workers.WORKERS)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind", ["vit", "resnet-mini"])
+    def test_frozen_backbone_fine_tune_same_bits(self, kind, tiny_task, monkeypatch):
+        ckpt = pretrain(kind, {"num_classes": 3}, tiny_task,
+                        TrainConfig(epochs=1, batch_size=8, seed=0))
+        runs = []
+        for in_process in (False, True):
+            _in_process(monkeypatch, in_process)
+            model, history = fine_tune(ckpt, tiny_task, TrainConfig(epochs=2, batch_size=5, seed=1),
+                                       freeze_backbone=True)
+            runs.append(_train_digest(model, history))
+        assert runs[0] == runs[1]
+        assert all(grad is None for name, _, grad in runs[0][1] if not name.startswith("head."))
+
+    def test_only_runs_of_min_steps_on_trained_models_use_workers(self, tiny_task, monkeypatch):
+        monkeypatch.setattr(workers, "MIN_STEPS", 4)
+        monkeypatch.setattr(workers, "TRAINED", (workers.CnnModel,))
+        for kind, epochs, started in (("vgg-mini", 1, 0), ("vgg-mini", 2, workers.WORKERS),
+                                      ("vit", 9, 0)):
+            workers.close()
+            # two steps of 8 and 4 images per epoch
+            train(make_model(kind, {"num_classes": 3}), tiny_task, None,
+                  TrainConfig(epochs=epochs, batch_size=8))
+            assert len(workers._workers) == started, (kind, epochs)
+
+    def test_a_worker_killed_between_steps_is_named(self, tiny_task, monkeypatch):
+        """SIGKILL to a worker between two steps: ``train`` raises a
+        ChildProcessError naming its PID and -9, and the next call runs on
+        fresh workers with the in-process bits."""
+        make_batches, killed = D.make_batches, []
+
+        def killing(*args, **kwargs):
+            for i, batch in enumerate(make_batches(*args, **kwargs)):
+                if i == 1 and not killed:
+                    worker = workers._workers[0]
+                    worker.send_signal(signal.SIGKILL)
+                    worker.wait()
+                    killed.append(worker.pid)
+                yield batch
+
+        cfg = TrainConfig(epochs=2, batch_size=5, seed=2)
+        monkeypatch.setattr(D, "make_batches", killing)
+        with pytest.raises(ChildProcessError) as excinfo:
+            train(make_model("mobilenet-mini", {"num_classes": 3}), tiny_task, None, cfg)
+        assert str(excinfo.value) == f"worker {killed[0]} exited with code -9"
+        assert workers._workers == []
+        monkeypatch.setattr(D, "make_batches", make_batches)
+        runs = []
+        for in_process in (False, True):
+            _in_process(monkeypatch, in_process)
+            model = make_model("mobilenet-mini", {"num_classes": 3})
+            runs.append(_train_digest(model, train(model, tiny_task, None, cfg)))
+            if not in_process:
+                assert len(workers._workers) == workers.WORKERS
+                assert killed[0] not in [w.pid for w in workers._workers]
+        assert runs[0] == runs[1]
+
+    def test_strict_error_in_a_half_then_a_good_run(self, tiny_task):
+        """Strict mode reaches the workers: a non-finite head stops the run
+        with the in-process ContractError, the pool is ended, and the next
+        run starts afresh."""
+        model = make_model("vgg-mini", {"num_classes": 3}, seed=1)
+        model.params["head.w"].data[0, 0] = np.inf
+        with pytest.raises(ContractError, match="non-finite"):
+            train(model, tiny_task, None, TrainConfig(epochs=1, batch_size=8))
+        assert workers._workers == []
+        train(make_model("vgg-mini", {"num_classes": 3}), tiny_task, None,
+              TrainConfig(epochs=1, batch_size=8))
+        assert len(workers._workers) == workers.WORKERS
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+    def test_non_finite_loss_names_epoch_and_batch(self, tiny_task, monkeypatch):
+        monkeypatch.setattr(T, "_STRICT", False)
+        model = make_model("resnet-mini", {"num_classes": 3}, seed=0)
+        with pytest.raises(TrainingError, match="non-finite loss at epoch 0, batch 1"):
+            train(model, tiny_task, None, TrainConfig(epochs=1, batch_size=8, lr=1e300))
+
+
+@pytest.mark.parametrize("text, cpus", [
+    ("max 100000\n", np.inf), ("100000 100000\n", 1.0), ("150000 100000\n", 1.5),
+    ("200000 100000\n", 2.0), ("150000\n", np.inf), ("a b\n", np.inf), ("0 100000\n", np.inf),
+    ("100000 0\n", np.inf), ("", np.inf), (None, np.inf),
+])
+def test_cgroup_cpu_quota_parser(text, cpus):
+    assert workers._quota(text) == cpus
+
+
+@pytest.mark.parametrize("text, pooled", [
+    (None, True), ("max 100000", True), ("150000 100000", False), ("200000 100000", True),
+])
+def test_a_cpu_quota_below_two_cpus_runs_in_process(text, pooled, tmp_path, tiny_task,
+                                                     monkeypatch):
+    """``_cpus`` caps the affinity mask by ``cpu.max``; a missing file
+    (``None``) sets no cap."""
+    cpu_max = tmp_path / "cpu.max"
+    if text is not None:
+        cpu_max.write_text(text + "\n")
+    monkeypatch.setattr(workers, "CPU_MAX", cpu_max)
+    monkeypatch.setattr(workers, "MIN_STEPS", 1)
+    workers.close()
+    assert workers._cpus() == min(len(os.sched_getaffinity(0)), workers._quota(text))
+    train(make_model("vgg-mini", {"num_classes": 3}), tiny_task, None,
+          TrainConfig(epochs=1, batch_size=8))
+    assert len(workers._workers) == (workers.WORKERS if pooled and workers._cpus() >= 2 else 0)
+
+
+def _vm_rss_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+
+@two_cpus
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc")
+def test_memory_stays_flat_over_many_pooled_runs(tmp_path, monkeypatch):
+    """Pooled ``train`` calls and ``evaluate`` passes on 16 px images: after
+    a warm-up, the parent's traced allocations and each worker's resident
+    set stop growing."""
+    monkeypatch.setattr(workers, "MIN_STEPS", 1)
+    monkeypatch.setattr(workers, "MIN_BATCHES", 2)
+    monkeypatch.setattr(workers, "TRAINED", workers.POOLED)
+    data = D.load_manifest(D.generate_synthetic(tmp_path, "m", 3, 50, image_size=16, seed=8))
+    cfg = TrainConfig(epochs=1, batch_size=64)
+
+    def round_():
+        for kind in MODEL_KINDS:
+            model = make_model(kind, {"num_classes": 3, "image_size": 16}, seed=1)
+            train(model, data, None, cfg)
+            evaluate(model, data)
+
+    workers.close()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            round_()
+        pids = [w.pid for w in workers._workers]
+        parent, rss = tracemalloc.get_traced_memory()[0], [_vm_rss_kb(p) for p in pids]
+        for _ in range(4):
+            round_()
+        assert [w.pid for w in workers._workers] == pids
+        grown = tracemalloc.get_traced_memory()[0] - parent
+        rss_grown = [_vm_rss_kb(p) - r for p, r in zip(pids, rss)]
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
+    assert max(rss_grown) < 2048, rss_grown
+
+
 def test_forward_bits_do_not_depend_on_the_blas_thread_count():
-    """What the worker path relies on: a forward at one BLAS thread gives
-    the bytes it gives at the default count, for every kind and dtype."""
+    """What the worker path relies on: a B=64 forward and a B=32 half step
+    (its loss, correct count and every gradient, the ViT's with dropout)
+    at one BLAS thread give the bytes they give at the default count, for
+    every kind and dtype."""
     script = """
 import hashlib
 import numpy as np
 from vitbench.train import MODEL_KINDS, make_model
+from vitbench.workers import half_step
 x = np.random.default_rng(0).random((64, 3, 32, 32))
+labels = np.arange(32) % 3
 for kind in MODEL_KINDS:
     for dtype in ("float32", "float64"):
-        logits = make_model(kind, {"num_classes": 3, "dtype": dtype}, seed=1).forward_batch(x)
-        print(kind, dtype, hashlib.sha256(logits.data.tobytes()).hexdigest())
+        model = make_model(kind, {"num_classes": 3, "dtype": dtype,
+                                  **({"dropout": 0.1} if kind == "vit" else {})}, seed=1)
+        digest = hashlib.sha256(model.forward_batch(x).data.tobytes())
+        half = half_step(model, x[:32].astype(dtype), labels, 64, [1, 0, 1, 0, 0])
+        digest.update(repr(half).encode())
+        for p in model.params.values():
+            digest.update(p.grad.tobytes())
+        print(kind, dtype, digest.hexdigest())
 """
     default = {k: v for k, v in _subprocess_env().items() if k not in workers._ONE_THREAD}
     outputs = [
