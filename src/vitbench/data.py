@@ -245,12 +245,24 @@ def rotate_quarter(img: np.ndarray, turns: int) -> np.ndarray:
     return np.rot90(img, k=turns % 4, axes=(1, 2)).copy()
 
 
+def _overlap(shift: int, n: int) -> tuple[slice, slice]:
+    """``(dst, src)`` over ``[0, n)`` with ``dst[i]`` taking ``src[i + shift]``."""
+    lo = min(n, max(0, -shift))
+    hi = max(lo, min(n, n - shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
 def random_crop(img: np.ndarray, pad: int, rng: np.random.Generator) -> np.ndarray:
+    """``img`` zero-padded by ``pad`` on both image axes, then cropped back
+    to its size at offsets ``dy``, ``dx`` drawn from [0, 2·pad] in that
+    order; only the window's overlap with ``img`` is copied, no pad is built."""
     c, h, w = img.shape
-    padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)))
     dy = int(rng.integers(0, 2 * pad + 1))
     dx = int(rng.integers(0, 2 * pad + 1))
-    return padded[:, dy:dy + h, dx:dx + w].copy()
+    (y_out, y_in), (x_out, x_in) = _overlap(dy - pad, h), _overlap(dx - pad, w)
+    out = np.zeros(img.shape, img.dtype)
+    out[:, y_out, x_out] = img[:, y_in, x_in]
+    return out
 
 
 def augment(img: np.ndarray, ops: AugmentConfig, rng: np.random.Generator) -> np.ndarray:

@@ -238,9 +238,13 @@ def backward(loss: Tensor, tape: Tape, grad: float = 1.0) -> None:
 
 
 def _finish(out: Tensor, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    """Common tail of every op: strict check + tape recording."""
+    """Common tail of every op: strict check + tape recording.  A strict
+    failure names the op after its backward closure (``linear.<locals>.bw``
+    is ``linear``) and gives the output's shape."""
     if _STRICT and not np.all(np.isfinite(out.data)):
-        raise ContractError("non-finite value produced in strict mode")
+        op = backward_fn.__qualname__.partition(".<locals>")[0]
+        raise ContractError(f"non-finite value produced in strict mode by {op}, "
+                            f"output shape {out.shape}")
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _ACTIVE_TAPE.record(out, inputs, backward_fn)

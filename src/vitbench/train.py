@@ -213,12 +213,12 @@ def evaluate(model, manifest: D.DatasetManifest,
 def train(model, train_manifest: D.DatasetManifest,
           val_manifest: D.DatasetManifest | None, cfg: TrainConfig,
           stop_at_train_acc: float | None = None) -> list[MetricsRecord]:
-    """Epoch loop: shuffled batches, each step's parts (a CNN's two
-    halves, a ViT's whole batch: forward, cross-entropy, backward; see
-    :func:`workers.training`) summed part 0 first, an Adam step, then one
-    validation pass per epoch.  Part ``h`` of step ``b`` draws dropout
-    from a generator seeded by ``[cfg.seed, epoch, 1, b, h]``, apart from
-    the ``[seed, epoch]`` shuffle; validation draws none.  Every training
+    """Epoch loop: shuffled batches, each step's two halves (forward,
+    cross-entropy, backward; see :func:`workers.training`) summed half 0
+    first, an Adam step, then one validation pass per epoch.  Half ``h``
+    of step ``b`` draws dropout from a generator seeded by ``[cfg.seed,
+    epoch, 1, b, h]``, apart from the ``[seed, epoch]`` shuffle;
+    validation draws none.  Every training
     and validation image is decoded into a fresh :class:`ImageCache`
     before the first step, and batches stream from it in the model's
     dtype.  Adam updates exactly the parameters with ``requires_grad``;

@@ -1,10 +1,12 @@
 """Model forwards and training half-steps in two worker processes, one BLAS
 thread each: a small GEMM cannot pay for a second BLAS thread, but two
-one-thread processes use a second core.  A worker first gets ``("model",
-model, strict, np.geterr())``, then requests ``("forward", images)`` or
-``("half", trainable values, images, labels, n, seeds)``; a reply is the
-result or the exception, and the warnings.  Every request kind is one
-module-level function that the in-process path calls too."""
+one-thread processes use a second core.  Every model kind's training step
+is two halves wherever it runs, so a step gives the same bits in process
+and in the workers.  A worker first gets ``("model", model, strict,
+np.geterr())``, then requests ``("forward", images)`` or ``("half",
+trainable values, images, labels, n, seeds)``; a reply is the result or
+the exception, and the warnings.  Every request kind is one module-level
+function that the in-process path calls too."""
 
 from __future__ import annotations
 
@@ -27,15 +29,15 @@ from . import tensor as T
 from .cnn import CnnModel
 from .vit import ViTClassifier
 
-POOLED = (ViTClassifier, CnnModel)   # a worker can rebuild only what make_model builds
+# the kinds that train and evaluate in the workers: a worker can rebuild only
+# what make_model builds
+POOLED = (ViTClassifier, CnnModel)
 # a worker's first forward of a pass is slow: in passes shorter than this the
 # pool lost to the in-process loop on some model kind (README)
 MIN_BATCHES = 16
-# only these models' steps run as halves, in workers for `train` calls of at
-# least MIN_STEPS steps: the ViT's halves gained nothing there, and split in
-# process they cost vit-transfer a fifth of its speed (README)
-TRAINED = (CnnModel,)
-MIN_STEPS = 3
+# `train` calls shorter than this run their halves in process: the smallest
+# step count measured at which every kind's pooled calls won (README)
+MIN_STEPS = 2
 WORKERS = 2   # the only pool size measured
 IN_FLIGHT = 2   # forwards sent to a worker ahead of the reply read next
 CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
@@ -151,12 +153,11 @@ def forwards(model, batches, n_batches: int):
 
 
 def half_step(model, images, labels, n: int, seeds) -> tuple[float, int]:
-    """One part, a half or the whole, of an ``n``-image training step: the
-    forward, with dropout drawn from ``default_rng(seeds)``, the
-    cross-entropy and the backward, whose gradients, scaled to the whole
-    batch's mean, are added into the trainable parameters' ``grad``.
-    Returns the part's loss sum and correct count; a non-finite loss skips
-    the backward."""
+    """One half of an ``n``-image training step: the forward, with dropout
+    drawn from ``default_rng(seeds)``, the cross-entropy and the backward,
+    whose gradients, scaled to the whole batch's mean, are added into the
+    trainable parameters' ``grad``.  Returns the half's loss sum and
+    correct count; a non-finite loss skips the backward."""
     with T.Tape() as tape:
         logits = model.forward_batch(images, np.random.default_rng(seeds))
         loss = T.cross_entropy(logits, labels)
@@ -183,38 +184,35 @@ def _half(model, values, images, labels, n: int, seeds) -> tuple:
 @contextlib.contextmanager
 def training(model, n_steps: int):
     """The step function of one ``train`` call of ``n_steps`` steps:
-    ``step(images, labels, seeds)`` runs :func:`half_step` on each part of
-    the batch with ``[*seeds, part]``, adds the gradients into the
-    trainable parameters' ``grad`` part 0 first, and returns each part's
-    (loss sum, correct count).  A model of a TRAINED type splits every
-    batch into halves of ⌈n/2⌉ and ⌊n/2⌋ images (one for one image), and
-    runs them in the workers, with the model sent once, when the call has
-    at least MIN_STEPS steps and two CPUs are free, and so do the call's
-    validation passes; anywhere else the halves run in turn here, with the
-    same bits.  Any other model, which never runs in a worker, takes each
-    batch whole."""
+    ``step(images, labels, seeds)`` splits the batch into halves of ⌈n/2⌉
+    and ⌊n/2⌋ images (one for one image), runs :func:`half_step` on each
+    with ``[*seeds, half]``, adds the gradients into the trainable
+    parameters' ``grad`` half 0 first, and returns each half's (loss sum,
+    correct count).  The halves, and the call's validation passes, run in
+    the workers, with the model sent once, when the call has at least
+    MIN_STEPS steps, two CPUs are free and the model is POOLED; anywhere
+    else they run in turn here, with the same bits."""
     global _training
-    split = type(model) in TRAINED
-    pooled = split and _cpus() >= WORKERS and n_steps >= MIN_STEPS
+    pooled = type(model) in POOLED and _cpus() >= WORKERS and n_steps >= MIN_STEPS
     trainable = _trainable(model)
     loaded = []   # the pool whose workers hold the model
 
     def step(images, labels, seeds) -> list:
         n = len(labels)
-        h = -(-n // 2) if split else n
-        parts = [s for s in (slice(0, h), slice(h, n)) if s.start < s.stop]
+        h = -(-n // 2)
+        halves = [s for s in (slice(0, h), slice(h, n)) if s.start < s.stop]
         if not pooled:
             return [half_step(model, images[s], labels[s], n, [*seeds, i])
-                    for i, s in enumerate(parts)]
+                    for i, s in enumerate(halves)]
         with _pool() as pool:
             if loaded != pool:
                 for worker in pool:
                     _load(worker, model)
                 loaded[:] = pool
             values = [p.data for p in trainable]
-            for i, s in enumerate(parts):
+            for i, s in enumerate(halves):
                 _send(pool[i], ("half", values, images[s], labels[s], n, [*seeds, i]))
-            replies = [_receive(pool[i]) for i in range(len(parts))]
+            replies = [_receive(pool[i]) for i in range(len(halves))]
         for _, _, grads in replies:
             for p, g in zip(trainable, grads):
                 p.accumulate_grad(g)

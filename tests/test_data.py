@@ -186,6 +186,18 @@ class TestDecodeImage:
         assert np.allclose(out, img, atol=1e-12)
 
 
+class _Offsets:
+    """Stands in for a Generator: ``integers`` returns the given values in
+    turn and records its bounds."""
+
+    def __init__(self, *values):
+        self.values, self.bounds = iter(values), []
+
+    def integers(self, low, high):
+        self.bounds.append((low, high))
+        return next(self.values)
+
+
 class TestAugment:
     def test_flip_involution(self):
         rng = np.random.default_rng(5)
@@ -217,6 +229,22 @@ class TestAugment:
     def test_bad_field_is_configuration_error(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             D.AugmentConfig(**{field: value})
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("pad", [0, 1, 3, 5, 9])
+    def test_crop_matches_a_padded_copy_at_every_offset(self, pad, dtype):
+        """Every (dy, dx), drawn in that order from [0, 2·pad], with pads of
+        0, below, at and above the 5x4 image's extents: the bytes of
+        cropping ``np.pad``'s copy."""
+        img = np.random.default_rng(9).random((3, 5, 4)).astype(dtype)
+        padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)))
+        for dy in range(2 * pad + 1):
+            for dx in range(2 * pad + 1):
+                rng = _Offsets(dy, dx)
+                out = D.random_crop(img, pad, rng)
+                want = padded[:, dy:dy + 5, dx:dx + 4]
+                assert out.dtype == want.dtype and out.tobytes() == want.tobytes(), (dy, dx)
+                assert rng.bounds == [(0, 2 * pad + 1)] * 2
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(8)

@@ -850,6 +850,12 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.mul(Tensor([1e308]), Tensor([1e308]))
 
+    def test_strict_error_names_the_op_and_its_output_shape(self):
+        x, w, b = Tensor(np.ones((4, 3))), Tensor(np.full((3, 2), np.inf)), Tensor(np.zeros(2))
+        with pytest.raises(ContractError, match=r"^non-finite value produced in strict mode "
+                                                r"by linear, output shape \(4, 2\)$"):
+            T.linear(x, w, b)
+
 
 class TestGradcheckOracle:
     def test_exact_quadratic(self):

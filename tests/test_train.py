@@ -157,13 +157,11 @@ class TestTrain:
         assert train(make_model("vit", {"num_classes": 3}, seed=1),
                      tiny_task, tiny_task, cfg) != h1
 
-    @pytest.mark.parametrize("kind, parts", [("vit", ((8,), (4,))),
-                                             ("mobilenet-mini", ((4, 4), (2, 2)))],
-                             ids=["vit", "mobilenet-mini"])
-    def test_each_part_draws_dropout_from_seed_epoch_1_step_part(self, kind, parts,
-                                                                 tiny_task, monkeypatch):
-        """A ViT step is one part, a CNN step two halves (in process here)."""
-        monkeypatch.setattr(workers, "MIN_STEPS", 99)
+    @pytest.mark.parametrize("kind", ["vit", "mobilenet-mini"])
+    def test_each_part_draws_dropout_from_seed_epoch_1_step_part(self, kind, tiny_task,
+                                                                 monkeypatch):
+        """Every kind's step is two halves (in process here)."""
+        _in_process(monkeypatch)
         model = make_model(kind, {"num_classes": 3, **({"dropout": 0.5} if kind == "vit" else {})})
         forward, calls = model.forward_batch, []
 
@@ -175,7 +173,7 @@ class TestTrain:
         # two steps of 8 and 4 images per epoch, no val pass
         train(model, tiny_task, None, TrainConfig(epochs=2, batch_size=8, seed=7))
         assert calls == [(n, np.random.default_rng([7, e, 1, b, h]).bit_generator.state)
-                         for e in range(2) for b, sizes in enumerate(parts)
+                         for e in range(2) for b, sizes in enumerate(((4, 4), (2, 2)))
                          for h, n in enumerate(sizes)]
 
     def test_losses_finite(self, tiny_task):
@@ -334,7 +332,9 @@ class TestEvaluate:
 
     def test_train_streams_batches_in_the_model_dtype(self, tiny_task, monkeypatch):
         """``train`` decodes in the model's dtype, and decodes each training
-        and validation image once, before its first step."""
+        and validation image once, before its first step.  In process: a
+        worker cannot unpickle the recording ``forward_batch``."""
+        _in_process(monkeypatch)
         model = make_model("vit", {"num_classes": 3, "dtype": "float32"}, seed=0)
         events = []
         forward, load = model.forward_batch, D.load_image
@@ -352,8 +352,8 @@ class TestEvaluate:
         tr, va, _ = D.split_dataset(tiny_task, D.SplitSpec(ratios=(0.5, 0.5, 0.0)))
         train(model, tr, va, TrainConfig(epochs=2, batch_size=4, seed=0))
         # six training and six validation images, then per epoch two
-        # training batches and one validation batch
-        assert events == ["load"] * 12 + [np.float32] * 6
+        # training batches of two halves each and one validation batch
+        assert events == ["load"] * 12 + [np.float32] * 10
 
 
 
@@ -890,7 +890,6 @@ def _train_digest(model, history) -> tuple:
 def every_model_trains_in_workers(monkeypatch):
     """Runs of one step or more on any model take the worker path."""
     monkeypatch.setattr(workers, "MIN_STEPS", 1)
-    monkeypatch.setattr(workers, "TRAINED", workers.POOLED)
 
 
 def _in_process(monkeypatch, flag: bool = True) -> None:
@@ -929,16 +928,15 @@ class TestTrainingWorkers:
         assert runs[0] == runs[1]
         assert all(grad is None for name, _, grad in runs[0][1] if not name.startswith("head."))
 
-    def test_only_runs_of_min_steps_on_trained_models_use_workers(self, tiny_task, monkeypatch):
+    def test_only_runs_of_min_steps_use_workers(self, tiny_task, monkeypatch):
         monkeypatch.setattr(workers, "MIN_STEPS", 4)
-        monkeypatch.setattr(workers, "TRAINED", (workers.CnnModel,))
-        for kind, epochs, started in (("vgg-mini", 1, 0), ("vgg-mini", 2, workers.WORKERS),
-                                      ("vit", 9, 0)):
-            workers.close()
-            # two steps of 8 and 4 images per epoch
-            train(make_model(kind, {"num_classes": 3}), tiny_task, None,
-                  TrainConfig(epochs=epochs, batch_size=8))
-            assert len(workers._workers) == started, (kind, epochs)
+        for kind in ("vgg-mini", "vit"):
+            for steps, started in ((3, 0), (4, workers.WORKERS)):
+                workers.close()
+                # one step of 12 images per epoch
+                train(make_model(kind, {"num_classes": 3}), tiny_task, None,
+                      TrainConfig(epochs=steps, batch_size=12))
+                assert len(workers._workers) == started, (kind, steps)
 
     def test_a_worker_killed_between_steps_is_named(self, tiny_task, monkeypatch):
         """SIGKILL to a worker between two steps: ``train`` raises a
@@ -984,6 +982,18 @@ class TestTrainingWorkers:
         train(make_model("vgg-mini", {"num_classes": 3}), tiny_task, None,
               TrainConfig(epochs=1, batch_size=8))
         assert len(workers._workers) == workers.WORKERS
+
+    @pytest.mark.parametrize("in_process", [False, True], ids=["pooled", "in-process"])
+    def test_strict_error_names_the_op_and_its_output_shape(self, in_process, tiny_task,
+                                                            monkeypatch):
+        """A worker's ContractError reaches the caller with the text the
+        in-process half raises: the op and its output shape."""
+        _in_process(monkeypatch, in_process)
+        model = make_model("vit", {"num_classes": 3}, seed=1)
+        model.params["head.w"].data[0, 0] = np.inf
+        with pytest.raises(ContractError, match=r"non-finite value produced in strict mode "
+                                                r"by linear, output shape \(4, 3\)$"):
+            train(model, tiny_task, None, TrainConfig(epochs=1, batch_size=8))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
     def test_non_finite_loss_names_epoch_and_batch(self, tiny_task, monkeypatch):
@@ -1034,7 +1044,6 @@ def test_memory_stays_flat_over_many_pooled_runs(tmp_path, monkeypatch):
     set stop growing."""
     monkeypatch.setattr(workers, "MIN_STEPS", 1)
     monkeypatch.setattr(workers, "MIN_BATCHES", 2)
-    monkeypatch.setattr(workers, "TRAINED", workers.POOLED)
     data = D.load_manifest(D.generate_synthetic(tmp_path, "m", 3, 50, image_size=16, seed=8))
     cfg = TrainConfig(epochs=1, batch_size=64)
 
